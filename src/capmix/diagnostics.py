@@ -37,7 +37,8 @@ can be evaluated offline.
 
 All dissipation integrals reuse the assembly quadrature: nodal (lumped)
 sums for time differences, two-point Gauss with per-point state recovery
-for the flux terms, chord gradients for interpolated nodal quantities.
+for the flux terms (coefficients from ``fem._point_coefficients``, as in
+assembly), chord gradients for interpolated nodal quantities.
 """
 
 from __future__ import annotations
@@ -176,11 +177,12 @@ def _step_qpoint_data(state_new, state_prev, params, spec, grad_beta_prev):
 
     Reconstructs the nodal entropy variables of state_new (no root-finding is
     involved in that direction), interpolates them into the cells, recovers
-    the per-point states and returns fluxes and gradients exactly as the
-    assembled forms use them.  grad_beta_prev is the beta-gradient memory the
-    step was assembled with; x_tilde adds its chain-rule share to the raw
-    recovered gradient, d_tilde is the quadrature backward difference of the
-    memory, and g_new = tau * x_tilde is the memory the step hands on.
+    the per-point states and returns their coefficients (``coef``, from
+    ``fem._point_coefficients``) with the gradients exactly as the assembled
+    forms use them.  grad_beta_prev is the beta-gradient memory the step was
+    assembled with; x_tilde adds its chain-rule share to the raw recovered
+    gradient, d_tilde is the quadrature backward difference of the memory,
+    and g_new = tau * x_tilde is the memory the step hands on.
     """
     mesh = state_new.mesh
     h = mesh.widths
@@ -189,25 +191,18 @@ def _step_qpoint_data(state_new, state_prev, params, spec, grad_beta_prev):
 
     w_q = fem._interp_cells(w, fem._Q_XI)               # (nc, 2, n)
     prev_tot_q = fem._interp_cells(state_prev.totals, fem._Q_XI)
-    rec = fem._recover_points(w_q, prev_tot_q, params)
-    s_q, tot_q, dsdw_q = rec["s"], rec["total"], rec["ds_dw"]
+    s_q, tot_q, dsdw_q = fem._recover_points(w_q, prev_tot_q, params)
+    coef = fem._point_coefficients(s_q, tot_q, params, spec)
 
     grad_w = (w[1:] - w[:-1]) / h[:, None]              # (nc, n)
     u_q = np.einsum("cqn,cn->cq", dsdw_q, grad_w)       # (nc, 2)
 
-    coeff = cst.eval_coeffs(tot_q, params)
-    fprime_q = ent._f_prime_of_total(tot_q, params)
-    x_tilde = u_q + grad_beta_prev / (params.kappa * fprime_q)
-    g_new = coeff.tau * x_tilde
+    x_tilde = u_q + grad_beta_prev / (params.kappa * coef["f_prime"])
+    g_new = coef["tau"] * x_tilde
     d_tilde = (g_new - grad_beta_prev) / params.kappa
 
-    return {
-        "w": w, "w_q": w_q, "s_q": s_q, "tot_q": tot_q,
-        "grad_w": grad_w, "u_q": u_q, "fprime_q": fprime_q,
-        "x_tilde": x_tilde, "d_tilde": d_tilde, "g_new": g_new,
-        "a_q": coeff.a, "pcp_q": coeff.pc_prime, "tau_q": coeff.tau,
-        "grad_beta_prev": grad_beta_prev,
-    }
+    return {"w": w, "grad_w": grad_w, "coef": coef, "x_tilde": x_tilde,
+            "d_tilde": d_tilde, "g_new": g_new}
 
 
 def _hminus1_sq(mesh, f_nodal):
@@ -298,7 +293,8 @@ def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
     dkb = (beta_new - beta_prev) / kappa
     diss_dbeta_sq = float(np.sum(m * dkb**2))
 
-    tau_q, pcp_q, a_q = data["tau_q"], data["pcp_q"], data["a_q"]
+    coef = data["coef"]
+    tau_q, pcp_q, a_q = coef["tau"], coef["pc_prime"], coef["a"]
     x_t, d_t = data["x_tilde"], data["d_tilde"]
     diss_capillary = float(np.sum(
         h * np.einsum("q,cq->c", fem._Q_W, pcp_q * tau_q * x_t**2)))
@@ -468,20 +464,10 @@ def weak_residual(trajectory, params, spec, num_test_functions) -> float:
         time_part = np.einsum("v,vn,jv->nj", m_lump, dks, psi_nodes)
 
         # Flux bracket: per-point scheme flux dotted with d psi/dx.
-        g_q = (data["a_q"] / data["tot_q"]) * (data["pcp_q"]
-                                               + data["tau_q"] / params.kappa)
-        fprime_q = data["fprime_q"]
-        mob = (data["s_q"][..., :, None] * data["s_q"][..., None, :]
-               / (data["tot_q"] * fprime_q)[..., None, None])
-        d_mat = ent._diffusion_many(
-            data["s_q"].reshape(-1, n), spec).reshape(data["s_q"].shape[:-1] + (n, n))
-        alpha = mob * g_q[..., None, None] + d_mat
-        idx = np.arange(n)
-        y_q = data["s_q"] / data["tot_q"][..., None]
-        alpha[..., idx, idx] += params.eps * y_q
-        flux = np.einsum("cqnl,cl->cqn", alpha, data["grad_w"])
-        hist_q = (data["tau_q"] - data["a_q"] * data["pcp_q"]) / fprime_q
-        flux -= y_q * (hist_q * g_prev / params.kappa)[..., None]
+        coef = data["coef"]
+        flux = np.einsum("cqnl,cl->cqn", coef["alpha"], data["grad_w"])
+        flux -= coef["y"] * (coef["history"] * g_prev
+                             / params.kappa)[..., None]
         flux_part = np.einsum("c,q,cqn,jcq->nj", h, fem._Q_W, flux, dpsi_q)
 
         acc += dt * (time_part + flux_part)[:, :, None] * hat(times[k])[None, None, :]

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import constitutive as cst
 from .errors import ArgumentError, DomainError, RootFindError
@@ -328,10 +327,22 @@ def _state_from_w_many(w, s_prev_total, params):
     return s, total, ds_dw, f_val
 
 
+def _logsumexp_rows(a):
+    """log(sum(exp(a))) along the rows of a finite (m, n) array, bit for bit
+    as ``scipy.special.logsumexp``: log1p(s) + log(m) + max, with m the
+    number of entries tied at the row maximum and s the sum of exp(a - max)
+    over the others, divided by m."""
+    a_max = a.max(axis=1, keepdims=True)
+    top = a == a_max
+    m = top.sum(axis=1, keepdims=True, dtype=float)
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
+
+
 def _state_from_w_core(w, prev, log_yg, params):
     """Softmax fractions plus scalar root-find; no equilibrium special case."""
     shifted = w + log_yg[None, :]
-    c = logsumexp(shifted, axis=1)
+    c = _logsumexp_rows(shifted)
     total, f_val = _solve_total_many(c, prev, params)
     frac = np.exp(shifted - c[:, None])
     s = total[:, None] * frac

@@ -30,9 +30,11 @@ pointwise symmetric PSD).  The time term is mass-lumped, and additionally
 linearised in w around the iterate (quasi-Newton block), which leaves the
 fixed points untouched but makes the stiff time-term feedback implicit.
 
-Assembly is fully vectorised over cells; the same interpolation/recovery
-helpers are reused by the diagnostics module so that the dissipation budget
-is evaluated with the identical quadrature as the assembled forms.
+Assembly is fully vectorised over cells and recovers the quadrature points
+and the nodes in one stacked call.  Every per-point coefficient has its one
+definition in ``_point_coefficients``, which the diagnostics module reuses
+with the same interpolation/recovery helpers, so the dissipation budget and
+the weak residual see the identical quadrature and fluxes as assembly.
 """
 
 from __future__ import annotations
@@ -218,19 +220,42 @@ def _interp_cells(nodal, xi):
 def _recover_points(w_pts, prev_tot_pts, params):
     """State recovery at stacked points of arbitrary leading shape.
 
-    w_pts: (..., n), prev_tot_pts: (...).  Returns dict of arrays with the
-    leading shape: s (.., n), total, ds_dw (.., n), f_value.
+    w_pts: (..., n), prev_tot_pts: (...).  Returns (s (..., n), total (...),
+    ds_dw (..., n)).
     """
-    lead = prev_tot_pts.shape
-    n = w_pts.shape[-1]
-    w_flat = w_pts.reshape(-1, n)
-    p_flat = prev_tot_pts.reshape(-1)
-    s, total, ds_dw, f_val = ent._state_from_w_many(w_flat, p_flat, params)
+    lead, n = prev_tot_pts.shape, w_pts.shape[-1]
+    s, total, ds_dw, _ = ent._state_from_w_many(
+        w_pts.reshape(-1, n), prev_tot_pts.reshape(-1), params)
+    return (s.reshape(lead + (n,)), total.reshape(lead),
+            ds_dw.reshape(lead + (n,)))
+
+
+def _point_coefficients(s, total, params, spec):
+    """Per-point coefficients of the operator and load at recovered states.
+
+    s: (..., n) components, total: (...).  Returns a dict of arrays with that
+    leading shape: a, pc_prime, tau, f_prime = tau/a + tau/kappa, fractions
+    y = s/S, the history coefficient (tau - a pc')/f' (nonnegative because
+    pc' <= tau/a), mobility M = outer(s, s)/(S f') (bitwise symmetric) and
+    alpha = M G + D(s) + eps diag(y) with G = (a/S)(pc' + tau/kappa).
+    """
+    kappa = params.kappa
+    coeff = cst.eval_coeffs(total, params)
+    a, pcp, tau = coeff.a, coeff.pc_prime, coeff.tau
+    fprime = coeff.tau_over_a + tau / kappa
+    g = (a / total) * (pcp + tau / kappa)
+    mob = s[..., :, None] * s[..., None, :] / (total * fprime)[..., None, None]
+
+    n = s.shape[-1]
+    d = ent._diffusion_many(s.reshape(-1, n), spec).reshape(s.shape + (n,))
+    y = s / total[..., None]
+    alpha = mob * g[..., None, None] + d
+    idx = np.arange(n)
+    alpha[..., idx, idx] += params.eps * y
+
     return {
-        "s": s.reshape(lead + (n,)),
-        "total": total.reshape(lead),
-        "ds_dw": ds_dw.reshape(lead + (n,)),
-        "f_value": f_val.reshape(lead),
+        "a": a, "pc_prime": pcp, "tau": tau, "f_prime": fprime, "y": y,
+        "history": (tau - a * pcp) / fprime, "mobility": mob, "alpha": alpha,
     }
 
 
@@ -248,45 +273,32 @@ def beta_gradient_field(state: NodalField, params) -> np.ndarray:
     return cst._tau(tot_q, params) * grad_tot[:, None]
 
 
-def _coefficient_blocks(w_field, s_prev, params, spec, grad_beta_prev):
-    """Everything the bilinear form and load need at quadrature points.
+def _coefficient_blocks(w_star, s_prev, params, spec):
+    """What the bilinear form and load need from the current iterate.
 
-    Returns a dict of per-cell, per-quadrature-point arrays for the current
-    iterate (recovered states, mobility matrices, coefficient G, diffusion
-    matrices, fractions) plus the history pieces built from the previous
-    beta-gradient samples.
+    Recovers the 2 num_cells quadrature points and the nodes in one stacked
+    call and evaluates their coefficients once.  Returns the operator blocks
+    alpha, fractions y and history coefficients at the quadrature points
+    (leading shape (num_cells, num_q)), then the recovered states and the
+    mobility blocks at the nodes (leading shape (num_nodes,)).
     """
-    w = w_field.values
+    w = w_star.values
     prev_tot = s_prev.totals
+    nn, n = w.shape
+    q_shape = (nn - 1, _Q_XI.size)
+    nq = q_shape[0] * q_shape[1]
 
-    w_q = _interp_cells(w, _Q_XI)                     # (nc, 2, n)
-    prev_tot_q = _interp_cells(prev_tot, _Q_XI)       # (nc, 2)
-    rec = _recover_points(w_q, prev_tot_q, params)
-    s_q, tot_q, dsdw_q = rec["s"], rec["total"], rec["ds_dw"]
+    w_q = _interp_cells(w, _Q_XI).reshape(nq, n)
+    prev_tot_q = _interp_cells(prev_tot, _Q_XI).reshape(nq)
+    s, total, _ = _recover_points(
+        np.concatenate([w_q, w]), np.concatenate([prev_tot_q, prev_tot]),
+        params)
+    coef = _point_coefficients(s, total, params, spec)
 
-    coeff = cst.eval_coeffs(tot_q, params)
-    a_q, pcp_q, tau_q = coeff.a, coeff.pc_prime, coeff.tau
-    g_q = (a_q / tot_q) * (pcp_q + tau_q / params.kappa)
-
-    # Mobility matrix as outer(s, s)/(S f'): bitwise symmetric.
-    fprime_q = ent._f_prime_of_total(tot_q, params)
-    m_q = s_q[..., :, None] * s_q[..., None, :] / (tot_q * fprime_q)[..., None, None]
-
-    d_q = ent._diffusion_many(s_q.reshape(-1, s_q.shape[-1]), spec)
-    d_q = d_q.reshape(s_q.shape[:-1] + d_q.shape[-2:])
-
-    y_q = s_q / tot_q[..., None]
-
-    # History coefficient of the exact chain-rule rewrite; nonnegative
-    # because pc' <= tau/a.
-    hist_q = (tau_q - a_q * pcp_q) / fprime_q
-
-    return {
-        "w_q": w_q, "s_q": s_q, "tot_q": tot_q, "ds_dw_q": dsdw_q,
-        "a_q": a_q, "pcp_q": pcp_q, "tau_q": tau_q, "g_q": g_q,
-        "m_q": m_q, "d_mat_q": d_q, "y_q": y_q, "fprime_q": fprime_q,
-        "hist_q": hist_q, "grad_beta_prev": grad_beta_prev,
-    }
+    return (coef["alpha"][:nq].reshape(q_shape + (n, n)),
+            coef["y"][:nq].reshape(q_shape + (n,)),
+            coef["history"][:nq].reshape(q_shape),
+            s[nq:], coef["mobility"][nq:])
 
 
 def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
@@ -323,33 +335,21 @@ def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
     if grad_beta_prev.shape != (nc, _Q_XI.size):
         raise ArgumentError("grad_beta_prev must be (num_cells, num_q)")
 
-    blocks = _coefficient_blocks(w_star, s_prev, params, spec, grad_beta_prev)
+    alpha_q, y_q, hist_q, s_star_nodes, m_nodes = _coefficient_blocks(
+        w_star, s_prev, params, spec)
 
     # Per-cell coefficient matrix: width-weighted quadrature average of
     # M G + D + eps diag(y); the P1 gradients are constant per cell, so only
     # this average enters the stiffness block.
-    alpha_q = (blocks["m_q"] * blocks["g_q"][..., None, None]
-               + blocks["d_mat_q"])
-    idx = np.arange(n)
-    alpha_q[..., idx, idx] += params.eps * blocks["y_q"]
     c_bar = np.einsum("q,cqij->cij", _Q_W, alpha_q)  # (nc, n, n)
 
     if not np.all(np.isfinite(c_bar)):
         raise AssemblyError("non-finite frozen coefficient in the operator")
 
-    # Nodal recovery for the lumped time term, plus the nodal mobility
-    # blocks M = outer(s, s)/(S f') of the implicit time linearisation.
-    rec_nodes = _recover_points(w_star.values, s_prev.totals, params)
-    s_star_nodes = rec_nodes["s"]
-    fprime_nodes = ent._f_prime_of_total(rec_nodes["total"], params)
-    m_nodes = (s_star_nodes[:, :, None] * s_star_nodes[:, None, :]
-               / (rec_nodes["total"] * fprime_nodes)[:, None, None])
-
     # History flux, q-averaged per cell and species:
     # sum_q w_q y_iq (tau_q - a_q pc'_q)/f'_q g_prev_q / kappa.
-    flux_hist = np.einsum(
-        "q,cqi->ci", _Q_W,
-        blocks["y_q"] * (blocks["hist_q"] * grad_beta_prev)[..., None])
+    flux_hist = np.einsum("q,cqi->ci", _Q_W,
+                          y_q * (hist_q * grad_beta_prev)[..., None])
     flux_hist /= params.kappa
 
     m_lump = lumped_mass(mesh)
@@ -370,6 +370,7 @@ def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
     # Scatter the 2x2 node pattern of each cell into interior-only COO.
     # Interior dof index of node v (1..nn-2): (v-1)*n + i.
     stiff = c_bar / h[:, None, None]  # (nc, n, n)
+    idx = np.arange(n)
     cells = np.arange(nc)
     pattern = np.array([[1.0, -1.0], [-1.0, 1.0]])
     node_pair = np.stack([cells, cells + 1], axis=1)  # (nc, 2)

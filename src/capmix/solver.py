@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import LinearOperator, cg, gmres, splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from . import diagnostics as diag
 from . import fem
@@ -46,7 +45,6 @@ __all__ = [
     "step_profile_initial",
 ]
 
-_DIRECT_SOLVE_MAX_DOF = 5000
 _DAMPING_FLOOR = 0.125
 _ANDERSON_WINDOW = 8
 # Conservative default step scale for the accelerated iteration; large moves
@@ -114,36 +112,27 @@ class Trajectory:
 def solve_linear(system: fem.LinearSystem, linear_tol=1e-12) -> np.ndarray:
     """Solve the assembled SPD system to a verified relative residual.
 
-    Small systems use a sparse direct factorisation, large ones a conjugate
-    gradient iteration with diagonal preconditioning; either way the achieved
-    residual is checked against linear_tol times the load norm.
+    A sparse LU factorisation followed by up to three steps of iterative
+    refinement; the achieved residual is checked against linear_tol times
+    the load norm.
     """
     rhs = system.rhs
     if not np.any(rhs):
         return np.zeros_like(rhs)
     mat = system.matrix
     rhs_norm = float(np.linalg.norm(rhs))
-    if mat.shape[0] <= _DIRECT_SOLVE_MAX_DOF:
-        try:
-            lu = splu(mat.tocsc())
-            x = lu.solve(rhs)
-            # Iterative refinement squeezes out factorisation error down to
-            # the rounding floor of the residual evaluation itself.
-            for _ in range(3):
-                r = rhs - mat @ x
-                if float(np.linalg.norm(r)) <= linear_tol * rhs_norm:
-                    break
-                x += lu.solve(r)
-        except RuntimeError as exc:
-            raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    else:
-        inv_diag = 1.0 / mat.diagonal()
-        x, info = cg(mat, rhs, rtol=0.1 * linear_tol, atol=0.0,
-                     maxiter=20 * mat.shape[0], M=diags(inv_diag))
-        if info != 0:
-            raise LinearSolveError(
-                f"conjugate gradients did not converge (info={info}); "
-                "the operator may be singular (eps too small?)")
+    try:
+        lu = splu(mat.tocsc())
+        x = lu.solve(rhs)
+        # Iterative refinement squeezes out factorisation error down to the
+        # rounding floor of the residual evaluation itself.
+        for _ in range(3):
+            r = rhs - mat @ x
+            if float(np.linalg.norm(r)) <= linear_tol * rhs_norm:
+                break
+            x += lu.solve(r)
+    except RuntimeError as exc:
+        raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise LinearSolveError("linear solve produced non-finite values")
     resid = float(np.linalg.norm(mat @ x - rhs))
@@ -374,8 +363,8 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
             raise FixedPointError(
                 f"fixed-point iteration failed (last sigma {sigma:.3f}, "
                 f"residual {res:.3e} > fp_tol {solver_cfg.fp_tol:.1e})")
-    rec = fem._recover_points(w, s_prev.totals, params)
-    new_state = fem.NodalField(rec["s"], mesh)
+    s_new, _, _ = fem._recover_points(w, s_prev.totals, params)
+    new_state = fem.NodalField(s_new, mesh)
     stats = StepStats(iterations=total_iters, residual=float(res),
                       used_homotopy=used_homotopy,
                       damping_final=float(mixing))

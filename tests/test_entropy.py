@@ -206,6 +206,19 @@ def test_inversion_far_from_previous_total():
     assert np.all(np.abs(f_val - c) <= P0.rootfind_tol * (1.0 + np.abs(c)))
 
 
+def test_row_logsumexp_matches_scipy_bitwise():
+    rng = np.random.default_rng(21)
+    for n in (1, 3, 8, 9):
+        a = rng.uniform(-1.0, 1.0, size=(500, 1)) * 10.0 ** rng.uniform(
+            -3.0, 3.0, size=(500, 1)) * rng.standard_normal((500, n))
+        a[::5] = 0.0                     # all entries tied at the maximum
+        a[1::7, : min(2, n)] = 4.0       # a tie at the maximum of a row
+        a[1::7, min(2, n):] = 3.0
+        expected = logsumexp(a, axis=1)
+        got = ent._logsumexp_rows(a)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_inversion_stall_raises():
     c = np.array([1e3, -1e3])
     prev = np.array([0.5, 0.5])

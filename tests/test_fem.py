@@ -175,3 +175,19 @@ def test_positive_semidefinite_without_regularisation():
         v = rng.standard_normal(dense.shape[0])
         v /= np.linalg.norm(v)
         assert float(v @ dense @ v) >= -1e-10
+
+
+def test_assembly_recovers_all_points_in_one_call(monkeypatch):
+    mesh, s_prev, grad_beta = _sine_setup()
+    rng = np.random.default_rng(8)
+    w = fem.NodalField(0.05 * rng.standard_normal((mesh.num_nodes, 3)), mesh)
+    calls = []
+    recover = ent._state_from_w_many
+
+    def counted(w_pts, prev_tot, params):
+        calls.append(len(prev_tot))
+        return recover(w_pts, prev_tot, params)
+
+    monkeypatch.setattr(ent, "_state_from_w_many", counted)
+    fem.assemble_system(w, s_prev, P0, SPEC, 1.0, grad_beta)
+    assert calls == [2 * mesh.num_cells + mesh.num_nodes]

@@ -4,6 +4,7 @@ initial-profile builders, and the refinement-study report."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from capmix import constitutive as cst
 from capmix import entropy as ent
@@ -31,6 +32,18 @@ def test_solve_linear_matches_dense_factorisation():
     assert np.allclose(x, dense, rtol=1e-10, atol=1e-14)
     resid = np.linalg.norm(system.matrix @ x - system.rhs)
     assert resid <= 1e-12 * np.linalg.norm(system.rhs)
+
+
+def test_solve_linear_large_system_meets_its_residual():
+    # 1700 interior nodes of 3 species: 5100 unknowns, block tridiagonal
+    # like the assembled operator, with spectrum in [1, 5].
+    n, nodes = 3, 1700
+    lap = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(nodes, nodes))
+    mat = (sparse.kron(lap, sparse.eye(n)) + sparse.eye(n * nodes)).tocsr()
+    rhs = np.random.default_rng(12).standard_normal(n * nodes)
+    system = fem.LinearSystem(mat, rhs, 1.0, n, nodes)
+    x = solver.solve_linear(system, linear_tol=1e-10)
+    assert np.linalg.norm(mat @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_solve_linear_zero_load_is_exact_zero():
