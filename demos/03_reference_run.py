@@ -5,7 +5,7 @@ Runs the reference problem (3 species, 64 cells, time step 1e-3, horizon
 dissipation channels and the signed entropy-check margin for a sample of
 steps, and writes the standard output files.
 
-Run:  python3 demos/03_reference_run.py        (~10 s)
+Run:  python3 demos/03_reference_run.py        (~3 s)
 """
 
 import numpy as np

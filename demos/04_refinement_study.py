@@ -6,7 +6,7 @@ order (the scheme is first order in time), and shows that every a-priori
 bound quantity stays within a factor-2 band across the ladder — the
 discrete counterpart of kappa-uniform boundedness.
 
-Run:  python3 demos/04_refinement_study.py      (~30 s)
+Run:  python3 demos/04_refinement_study.py      (~10 s)
 """
 
 from capmix import constitutive as cst

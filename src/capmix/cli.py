@@ -195,7 +195,7 @@ def _cmd_selftest(args):
     raw = rng.uniform(0.05, 1.0, size=(1000, n + 1))
     s = 0.9 * raw[:, :n] / raw.sum(axis=1, keepdims=True)
     w, _, _ = ent._w_many(s, s.sum(axis=1), s.sum(axis=1), params)
-    s_back, _, _, _ = ent._state_from_w_many(w, s.sum(axis=1), params)
+    s_back, _, _ = ent._state_from_w_many(w, s.sum(axis=1), params)
     check("transform round trip below 1e-10",
           float(np.max(np.abs(s_back - s))) <= 1e-10)
 

@@ -222,9 +222,12 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(7)
 def _beta_table(lam, gamma, gamma1):
     """Monotone interpolant of beta on [0,1] from panelwise Gauss quadrature.
 
-    Returns (pchip, pchip_derivative, knots, values).  All hot paths evaluate
-    beta through this single cached object, so discrete identities that pair
-    beta differences with tau-chords are exact regardless of table accuracy.
+    Returns (pchip, pchip_derivative, knots, values).  The hot paths
+    (``_beta_hat``, ``_beta_hat_prime``) read the coefficient arrays of these
+    two piecewise polynomials directly and evaluate them bit for bit as
+    calling the objects would, so every caller sees one and the same beta and
+    discrete identities that pair beta differences with tau-chords are exact
+    regardless of table accuracy.
     """
     p = ModelParams(n_species=1, lam=lam, gamma=gamma, gamma1=gamma1,
                     beta1=6.0, beta2=6.0, s_gamma=(0.5,))
@@ -241,15 +244,44 @@ def _beta_table(lam, gamma, gamma1):
     return pch, pch.derivative(), knots, cum
 
 
+def _eval_table(pp, knots, x):
+    """Evaluate a piecewise polynomial on the table knots at x in [0,1],
+    bitwise equal to ``pp(x)``.
+
+    The knots are k/4096, so x*4096 and the offset s = x - knots[i] are exact
+    and the panel index i is a truncation instead of a search; the last panel
+    is closed on the right, as in scipy's PPoly.  The power sum runs in the
+    order and with the rounding of PPoly's evaluation, c[-1] + c[-2] s +
+    c[-3] s^2 + ... with the power updated by z *= s (Horner order is not
+    bitwise equal).
+    """
+    x = np.asarray(x, dtype=float)
+    i = np.minimum((x * _TABLE_INTERVALS).astype(np.intp), _TABLE_INTERVALS - 1)
+    s = x - knots[i]
+    c = pp.c
+    out = c[-1][i]
+    z = s
+    for k in range(c.shape[0] - 2, -1, -1):
+        term = c[k][i]
+        term *= z
+        out += term
+        if k:
+            z = z * s
+    return out
+
+
 def _beta_hat(arr, p: ModelParams):
-    """Tabulated beta used by transforms, assembly and diagnostics."""
-    pch = _beta_table(p.lam, p.gamma, p.gamma1)[0]
-    return pch(arr)
+    """Tabulated beta used by transforms, assembly and diagnostics; arr in
+    [0,1].  Bitwise equal to the PCHIP object of ``_beta_table``."""
+    pch, _, knots, _ = _beta_table(p.lam, p.gamma, p.gamma1)
+    return _eval_table(pch, knots, arr)
 
 
 def _beta_hat_prime(arr, p: ModelParams):
-    dpch = _beta_table(p.lam, p.gamma, p.gamma1)[1]
-    return dpch(arr)
+    """Derivative of the tabulated beta, arr in [0,1]; bitwise equal to the
+    derivative object of ``_beta_table``."""
+    _, dpch, knots, _ = _beta_table(p.lam, p.gamma, p.gamma1)
+    return _eval_table(dpch, knots, arr)
 
 
 def beta_value(s, params: ModelParams) -> float:

@@ -191,8 +191,9 @@ def _step_qpoint_data(state_new, state_prev, params, spec, grad_beta_prev):
 
     w_q = fem._interp_cells(w, fem._Q_XI)               # (nc, 2, n)
     prev_tot_q = fem._interp_cells(state_prev.totals, fem._Q_XI)
-    s_q, tot_q, dsdw_q = fem._recover_points(w_q, prev_tot_q, params)
+    s_q, tot_q = fem._recover_points(w_q, prev_tot_q, params)
     coef = fem._point_coefficients(s_q, tot_q, params, spec)
+    dsdw_q = s_q / (tot_q * coef["f_prime"])[..., None]
 
     grad_w = (w[1:] - w[:-1]) / h[:, None]              # (nc, n)
     u_q = np.einsum("cqn,cn->cq", dsdw_q, grad_w)       # (nc, 2)

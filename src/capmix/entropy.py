@@ -198,10 +198,11 @@ def _f_of_total(total, beta_prev, f0_ref, params):
             + (cst._beta_hat(total, params) - beta_prev) / params.kappa)
 
 
-def _f_prime_of_total(total, params):
-    """f'(S) = tau/a + tau/kappa > 0."""
-    arr = np.asarray(total, dtype=float)
-    return cst._tau_over_a(arr, params) + cst._tau(arr, params) / params.kappa
+def _ds_dw(s, total, params):
+    """dS/dw_j of the total at stacked points: s_j / (S f'(S)), with
+    f'(S) = tau/a + tau/kappa > 0."""
+    fp = cst._tau_over_a(total, params) + cst._tau(total, params) / params.kappa
+    return s / (total * fp)[:, None]
 
 
 def _w_many(s, total, s_prev_total, params):
@@ -214,9 +215,7 @@ def _w_many(s, total, s_prev_total, params):
     f_val = _f_of_total(total, cst._beta_hat(s_prev_total, params), f0_ref, params)
     logy = np.log(s) - np.log(total)[:, None]
     w = (logy - log_yg[None, :]) + f_val[:, None]
-    fp = _f_prime_of_total(total, params)
-    ds_dw = s / (total * fp)[:, None]
-    return w, ds_dw, f_val
+    return w, _ds_dw(s, total, params), f_val
 
 
 def _solve_total_many(c, s_prev_total, params, max_iter=100):
@@ -293,8 +292,9 @@ def _solve_total_many(c, s_prev_total, params, max_iter=100):
 def _state_from_w_many(w, s_prev_total, params):
     """Vectorised state_from_w on stacked points.
 
-    w: (m, n), s_prev_total: (m,).  Returns (s (m,n), total (m,), ds_dw (m,n),
-    f_value (m,)).
+    w: (m, n), s_prev_total: (m,).  Returns (s (m,n), total (m,),
+    f_value (m,)); the public wrappers add the derivative ds_dw, which
+    assembly takes from its own coefficient evaluation instead.
     """
     w = np.asarray(w, dtype=float)
     prev = np.asarray(s_prev_total, dtype=float)
@@ -322,9 +322,7 @@ def _state_from_w_many(w, s_prev_total, params):
             f_val[rest] = f_r
     else:
         s, total, f_val = _state_from_w_core(w, prev, log_yg, params)
-    fp = _f_prime_of_total(total, params)
-    ds_dw = s / (total * fp)[:, None]
-    return s, total, ds_dw, f_val
+    return s, total, f_val
 
 
 def _logsumexp_rows(a):
@@ -391,7 +389,8 @@ def states_from_w(w, s_prev_total, params):
         raise ArgumentError("need w of shape (m, n) and matching previous totals")
     if not (np.all(prev > 0.0) and np.all(prev < 1.0)):
         raise DomainError("previous totals must lie in (0,1)")
-    return _state_from_w_many(warr, prev, params)
+    s, total, f_val = _state_from_w_many(warr, prev, params)
+    return s, total, _ds_dw(s, total, params), f_val
 
 
 def state_from_w(w, s_prev_total, params):
@@ -400,9 +399,9 @@ def state_from_w(w, s_prev_total, params):
     if not 0.0 < prev < 1.0:
         raise DomainError(f"previous total must lie in (0,1); got {s_prev_total!r}")
     warr = np.asarray(w, dtype=float)
-    s, total, ds_dw, f_val = _state_from_w_many(warr[None, :], np.asarray([prev]), params)
+    s, total, f_val = _state_from_w_many(warr[None, :], np.asarray([prev]), params)
     state = SpeciesState(s[0], float(total[0]))
-    return EntropyVars(warr, ds_dw[0], float(f_val[0])), state
+    return EntropyVars(warr, _ds_dw(s, total, params)[0], float(f_val[0])), state
 
 
 # ---------------------------------------------------------------------------

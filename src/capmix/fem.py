@@ -220,14 +220,12 @@ def _interp_cells(nodal, xi):
 def _recover_points(w_pts, prev_tot_pts, params):
     """State recovery at stacked points of arbitrary leading shape.
 
-    w_pts: (..., n), prev_tot_pts: (...).  Returns (s (..., n), total (...),
-    ds_dw (..., n)).
+    w_pts: (..., n), prev_tot_pts: (...).  Returns (s (..., n), total (...)).
     """
     lead, n = prev_tot_pts.shape, w_pts.shape[-1]
-    s, total, ds_dw, _ = ent._state_from_w_many(
+    s, total, _ = ent._state_from_w_many(
         w_pts.reshape(-1, n), prev_tot_pts.reshape(-1), params)
-    return (s.reshape(lead + (n,)), total.reshape(lead),
-            ds_dw.reshape(lead + (n,)))
+    return s.reshape(lead + (n,)), total.reshape(lead)
 
 
 def _point_coefficients(s, total, params, spec):
@@ -290,7 +288,7 @@ def _coefficient_blocks(w_star, s_prev, params, spec):
 
     w_q = _interp_cells(w, _Q_XI).reshape(nq, n)
     prev_tot_q = _interp_cells(prev_tot, _Q_XI).reshape(nq)
-    s, total, _ = _recover_points(
+    s, total = _recover_points(
         np.concatenate([w_q, w]), np.concatenate([prev_tot_q, prev_tot]),
         params)
     coef = _point_coefficients(s, total, params, spec)

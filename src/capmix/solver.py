@@ -8,9 +8,12 @@ update is Anderson-accelerated, because the coefficient feedback makes the
 bare map expansive at practical time steps; with an empty history the
 update is the plain damped step, so w* = 0 remains the exact one-shot
 solution at equilibrium and equilibrium states are stationary by
-construction.  If the accelerated iteration at full load (sigma = 1)
-stalls, a homotopy ladder re-runs it with the load switched on gradually,
-warm-starting each rung.
+construction.  A run starts each step's full-load (sigma = 1) solve from
+the previous step's converged w, which already lies near the new solution
+when the state evolves smoothly; the first step starts from w = 0, so a run
+from equilibrium stays exactly at rest.  If the accelerated iteration at full
+load stalls, a homotopy ladder re-runs it from w = 0 with the load switched
+on gradually, warm-starting each rung.
 
 A run records, per accepted step, the dissipation budget and the signed
 margin of the per-step entropy inequality; strict mode aborts on the first
@@ -93,10 +96,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepStats:
+    """Outcome of one implicit step; ``w`` is the converged nodal entropy
+    variable (num_nodes, n), the warm start of the next step."""
+
     iterations: int
     residual: float
     used_homotopy: bool
     damping_final: float
+    w: np.ndarray = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -328,11 +335,14 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
 
 
 def solve_time_step(s_prev: fem.NodalField, params, spec,
-                    solver_cfg: SolverConfig, grad_beta_prev=None):
+                    solver_cfg: SolverConfig, grad_beta_prev=None,
+                    w_start=None):
     """Advance one implicit Euler step; returns (new state, StepStats).
 
-    Starts from w* = 0 at full load; on non-convergence retries with the
-    sigma homotopy ladder, warm-starting each rung.  The returned nodal
+    Starts the full-load solve from w_start, the (num_nodes, n) nodal entropy
+    variable the previous step converged to (``StepStats.w``), or from
+    w* = 0 when it is omitted; on non-convergence retries with the sigma
+    homotopy ladder from w* = 0, warm-starting each rung.  The returned nodal
     states are recovered through the inverse transform, hence always lie in
     the admissible set.  grad_beta_prev carries the quadrature samples of the
     previous step's beta gradient (the run memory); omitted, it is rebuilt
@@ -343,8 +353,9 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
     if grad_beta_prev is None:
         grad_beta_prev = fem.beta_gradient_field(s_prev, params)
     w_zero = np.zeros((mesh.num_nodes, n))
-    w, iters, res, ok, mixing = _fixed_point(s_prev, params, spec, solver_cfg,
-                                             1.0, w_zero, grad_beta_prev)
+    w, iters, res, ok, mixing = _fixed_point(
+        s_prev, params, spec, solver_cfg, 1.0,
+        w_zero if w_start is None else w_start, grad_beta_prev)
     total_iters = iters
     used_homotopy = False
     if not ok:
@@ -363,11 +374,11 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
             raise FixedPointError(
                 f"fixed-point iteration failed (last sigma {sigma:.3f}, "
                 f"residual {res:.3e} > fp_tol {solver_cfg.fp_tol:.1e})")
-    s_new, _, _ = fem._recover_points(w, s_prev.totals, params)
+    s_new, _ = fem._recover_points(w, s_prev.totals, params)
     new_state = fem.NodalField(s_new, mesh)
     stats = StepStats(iterations=total_iters, residual=float(res),
                       used_homotopy=used_homotopy,
-                      damping_final=float(mixing))
+                      damping_final=float(mixing), w=w)
     return new_state, stats
 
 
@@ -379,7 +390,8 @@ def run_simulation(initial: fem.NodalField, params, spec,
     admissible set, boundary rows equal to the boundary composition) are
     enforced before any stepping.  Each accepted step is budgeted and the
     entropy inequality checked with tolerance 10 * fp_tol; strict mode turns
-    a violation into an abort.
+    a violation into an abort.  Each step's solve starts from the entropy
+    variable the step before converged to.
     """
     mesh = initial.mesh
     try:
@@ -399,10 +411,12 @@ def run_simulation(initial: fem.NodalField, params, spec,
     s_prev = initial
     grad_beta = rec0.grad_beta
     check_tol = 10.0 * solver_cfg.fp_tol
+    w_prev = None
 
     for k in range(1, num_steps + 1):
         s_new, stats = solve_time_step(s_prev, params, spec, solver_cfg,
-                                       grad_beta_prev=grad_beta)
+                                       grad_beta_prev=grad_beta,
+                                       w_start=w_prev)
         budget = diag.dissipation_budget(s_new, s_prev, params, spec, mesh,
                                          step=k, time=k * kappa,
                                          fp_iters=stats.iterations,
@@ -421,6 +435,7 @@ def run_simulation(initial: fem.NodalField, params, spec,
         l_prev = budget.lyapunov
         s_prev = s_new
         grad_beta = record.grad_beta
+        w_prev = stats.w
     return traj
 
 

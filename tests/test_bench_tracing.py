@@ -1,10 +1,17 @@
 """The benchmark's traced run wraps module-level names of the program; a
-name it lists but the program no longer has would silently zero the
-per-layer metrics it feeds.  Check every wrapped name exists."""
+name it lists but the program no longer has, or a result slot it reads that
+moved, would silently zero the per-layer metrics it feeds.  Check every
+wrapped name exists and the slots the tracer reads hold what it counts."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from capmix import constitutive as cst
+from capmix import entropy as ent
+from capmix import fem, solver
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -23,3 +30,36 @@ def test_every_traced_name_exists_in_the_program():
                if not callable(getattr(importlib.import_module(f"capmix.{mod}"),
                                        attr, None))]
     assert missing == []
+
+
+def test_traced_result_slots_hold_their_counts():
+    params = cst.default_params()
+    spec = ent.DiffusionMatrixSpec()
+    mesh = fem.build_mesh(4)
+    s_prev = solver.equilibrium_initial(mesh, params)
+    grad_beta = fem.beta_gradient_field(s_prev, params)
+    cfg = solver.SolverConfig()
+    w0 = np.zeros((mesh.num_nodes, params.n_species))
+
+    # (w, evals, residual, converged, mixing): the tracer reads evals.
+    result = solver._fixed_point(s_prev, params, spec, cfg, 1.0, w0,
+                                 grad_beta)
+    assert type(result[1]) is int and result[1] == 1
+    assert result[3] is True
+
+    # (w, residual, converged, evals_used): the tracer reads evals_used.
+    def apply_map(w):
+        return np.zeros_like(w)
+
+    w1 = np.full_like(w0, 1e-3)
+    polished = solver._newton_polish(w1, np.zeros_like(w0), 1.0, apply_map,
+                                     mesh, cfg, 5)
+    assert len(polished) == 4
+    assert type(polished[3]) is int and 1 <= polished[3] <= 5
+
+    # The tracer counts recovered points by the length of result[1].
+    m = 7
+    recovered = ent._state_from_w_many(np.zeros((m, params.n_species)),
+                                       np.full(m, params.total_gamma), params)
+    assert len(recovered[1]) == m
+    assert recovered[1].shape == (m,)

@@ -137,6 +137,20 @@ def test_domain_errors_outside_open_interval(bad):
         cst.entropy_E(bad, P0)
 
 
+@pytest.mark.parametrize("params", [P0, SECONDARY])
+def test_beta_table_evaluation_is_bitwise_pchip(params):
+    pch, dpch, knots, _ = cst._beta_table(params.lam, params.gamma,
+                                          params.gamma1)
+    rng = np.random.default_rng(20)
+    x = np.concatenate([rng.random(100_000), knots, [0.0, 0.5, 1.0],
+                        np.nextafter(knots[1:], 0.0),
+                        np.nextafter(knots[:-1], 1.0)])
+    assert np.array_equal(cst._beta_hat(x, params), pch(x))
+    assert np.array_equal(cst._beta_hat_prime(x, params), dpch(x))
+    grid = x[:12].reshape(3, 4)
+    assert np.array_equal(cst._beta_hat(grid, params), pch(grid))
+
+
 def test_beta_accepts_closed_interval():
     assert cst.beta_value(0.0, P0) < 0.0 < cst.beta_value(1.0, P0)
     with pytest.raises(DomainError):

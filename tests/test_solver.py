@@ -80,6 +80,29 @@ def test_equilibrium_run_stays_at_rest():
         assert rec.diss_eps_w <= 1e-15
 
 
+def test_each_step_starts_from_the_previous_converged_w(monkeypatch):
+    mesh = fem.build_mesh(16)
+    init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
+    starts, ends = [], []
+    fixed_point = solver._fixed_point
+
+    def recorded(s_prev, params, spec, cfg, sigma, w_init, grad_beta_prev):
+        starts.append(w_init.copy())
+        result = fixed_point(s_prev, params, spec, cfg, sigma, w_init,
+                             grad_beta_prev)
+        ends.append(result[0].copy())
+        return result
+
+    monkeypatch.setattr(solver, "_fixed_point", recorded)
+    solver.run_simulation(init, P0, SPEC, solver.SolverConfig(t_end=5e-3))
+    # One full-load solve per step: no homotopy rung ran.
+    assert len(starts) == 5
+    assert np.array_equal(starts[0], np.zeros((mesh.num_nodes, 3)))
+    assert np.any(ends[0] != 0.0)
+    for k in range(1, 5):
+        assert np.array_equal(starts[k], ends[k - 1])
+
+
 def test_perturbed_run_dissipates():
     mesh = fem.build_mesh(16)
     init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
