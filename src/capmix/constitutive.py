@@ -341,6 +341,13 @@ def _A_raw(arr, p: ModelParams):
                 - np.power(arr, 1.0 - p.gamma1) / (p.gamma1 - 1.0))
 
 
+@lru_cache(maxsize=32)
+def _A_half(lam, gamma1):
+    """A(1/2), the constant that pins f0(1/2) = 0."""
+    p = ModelParams(n_species=1, lam=lam, gamma1=gamma1, s_gamma=(0.5,))
+    return _A_raw(np.asarray(0.5), p)
+
+
 def _B_raw(arr, p: ModelParams):
     with np.errstate(over="ignore"):
         return (np.power(1.0 - arr, 2.0 - p.lam) / ((p.lam - 1.0) * (p.lam - 2.0))
@@ -371,7 +378,7 @@ def _f0_open(arr, p: ModelParams):
     Shared by f0_integral and the transform's root-find, so both directions
     of the w <-> S transform evaluate f0 bitwise alike.
     """
-    return _A_raw(arr, p) - _A_raw(np.asarray(0.5), p)
+    return _A_raw(arr, p) - _A_half(p.lam, p.gamma1)
 
 
 def entropy_E(s, params: ModelParams):
@@ -384,7 +391,7 @@ def entropy_E(s, params: ModelParams):
     arr, scalar = _as_open_unit(s)
     half = np.asarray(0.5)
     out = (_B_raw(arr, params) - _B_raw(half, params)
-           - _A_raw(half, params) * (arr - 0.5))
+           - _A_half(params.lam, params.gamma1) * (arr - 0.5))
     return float(out) if scalar else out
 
 

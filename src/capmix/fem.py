@@ -162,9 +162,10 @@ def constant_field(mesh: Mesh, params) -> NodalField:
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Sparse symmetric system over interior degrees of freedom (node-major:
-    unknown (node, species) at index node*n + species)."""
+    unknown (node, species) at index node*n + species).  The matrix is block
+    tridiagonal and stored as BSR with one (n, n) block per node pair."""
 
-    matrix: sparse.csr_matrix
+    matrix: sparse.bsr_matrix
     rhs: np.ndarray
     sigma: float
     n_species: int
@@ -365,49 +366,22 @@ def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
     if not np.all(np.isfinite(load)):
         raise AssemblyError("non-finite frozen coefficient in the load")
 
-    # Scatter the 2x2 node pattern of each cell into interior-only COO.
-    # Interior dof index of node v (1..nn-2): (v-1)*n + i.
+    # Block tridiagonal over the interior nodes p = 0..ni-1 (node p+1), whose
+    # left and right cells are p and p+1: block row p holds -stiff[p], the
+    # diagonal (mass_p + stiff[p+1]) + stiff[p] and -stiff[p+1].  The first
+    # and last rows have no outer neighbour, so their outer block is dropped.
     stiff = c_bar / h[:, None, None]  # (nc, n, n)
-    idx = np.arange(n)
-    cells = np.arange(nc)
-    pattern = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    node_pair = np.stack([cells, cells + 1], axis=1)  # (nc, 2)
-
-    rows_list, cols_list, vals_list = [], [], []
-
-    # Implicit time blocks: sigma (m_nu/kappa) M(S*_nu) on the interior nodes.
-    interior = np.arange(1, nn - 1)
-    mass_block = (sigma / params.kappa) * m_lump[interior, None, None] \
-        * m_nodes[interior]
-    if not np.all(np.isfinite(mass_block)):
+    mass = (sigma / params.kappa) * m_lump[1:-1, None, None] * m_nodes[1:-1]
+    if not np.all(np.isfinite(mass)):
         raise AssemblyError("non-finite mobility block in the time term")
-    r0 = ((interior - 1) * n)[:, None, None] + idx[None, :, None]
-    c0 = ((interior - 1) * n)[:, None, None] + idx[None, None, :]
-    rows_list.append(np.broadcast_to(r0, mass_block.shape).ravel())
-    cols_list.append(np.broadcast_to(c0, mass_block.shape).ravel())
-    vals_list.append(mass_block.ravel())
-
-    for a_loc in range(2):
-        for b_loc in range(2):
-            va = node_pair[:, a_loc]
-            vb = node_pair[:, b_loc]
-            keep = (va >= 1) & (va <= nn - 2) & (vb >= 1) & (vb <= nn - 2)
-            if not np.any(keep):
-                continue
-            va, vb = va[keep], vb[keep]
-            block = stiff[keep] * pattern[a_loc, b_loc]  # (k, n, n)
-            k = va.size
-            r = ((va - 1) * n)[:, None, None] + idx[None, :, None]
-            c = ((vb - 1) * n)[:, None, None] + idx[None, None, :]
-            rows_list.append(np.broadcast_to(r, (k, n, n)).ravel())
-            cols_list.append(np.broadcast_to(c, (k, n, n)).ravel())
-            vals_list.append(block.ravel())
-
-    ndof = (nn - 2) * n
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals_list),
-         (np.concatenate(rows_list), np.concatenate(cols_list))),
-        shape=(ndof, ndof)).tocsr()
+    ni = nn - 2
+    blocks = np.stack([-stiff[:-1], (mass + stiff[1:]) + stiff[:-1],
+                       -stiff[1:]], axis=1)  # (ni, 3, n, n)
+    cols = np.arange(ni)[:, None] + np.array([-1, 0, 1])
+    indptr = np.clip(3 * np.arange(ni + 1) - 1, 0, 3 * ni - 2)
+    mat = sparse.bsr_matrix(
+        (blocks.reshape(3 * ni, n, n)[1:-1], cols.ravel()[1:-1], indptr),
+        shape=(ni * n, ni * n))
 
     rhs = load[1:-1].ravel()
-    return LinearSystem(mat, rhs, float(sigma), n, nn - 2)
+    return LinearSystem(mat, rhs, float(sigma), n, ni)

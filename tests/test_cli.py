@@ -101,7 +101,7 @@ def test_linear_solver_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path, tmp_path / "out")
 
     def explode(*args, **kwargs):
-        raise LinearSolveError("conjugate gradients did not converge")
+        raise LinearSolveError("sparse factorization failed: singular matrix")
 
     monkeypatch.setattr(solver, "run_simulation", explode)
     assert cli.main(["run", cfg]) == 3

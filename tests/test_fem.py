@@ -12,6 +12,8 @@ from capmix.errors import ArgumentError, DomainError
 
 P0 = cst.default_params()
 SPEC = ent.DiffusionMatrixSpec()
+P8 = cst.default_params(n_species=8, s_gamma=(0.05,) * 8)
+SPEC_WEIGHTED = ent.DiffusionMatrixSpec(kind="state_weighted", d0=1.0, d1=2.0)
 
 
 def test_build_mesh_basic():
@@ -96,19 +98,28 @@ def test_beta_gradient_field_linear_profile():
     assert np.allclose(g, expected, rtol=1e-13, atol=0)
 
 
-def _sine_setup(num_cells=16):
+def _sine_setup(num_cells=16, params=P0):
     mesh = fem.build_mesh(num_cells)
-    s_prev = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
-    grad_beta = fem.beta_gradient_field(s_prev, P0)
+    s_prev = solver.sine_perturbation_initial(mesh, params, amplitude=0.1)
+    grad_beta = fem.beta_gradient_field(s_prev, params)
     return mesh, s_prev, grad_beta
 
 
-def test_assembled_system_shape_and_symmetry():
-    mesh, s_prev, grad_beta = _sine_setup()
+@pytest.mark.parametrize("num_cells, params, spec", [
+    pytest.param(16, P0, SPEC, id="16-cells-3-species"),
+    # One interior node: both outer blocks are dropped from the same row.
+    pytest.param(2, P0, SPEC, id="2-cells-3-species"),
+    pytest.param(3, P0, SPEC, id="3-cells-3-species"),
+    pytest.param(16, P8, SPEC_WEIGHTED, id="16-cells-8-species-weighted"),
+])
+def test_assembled_system_shape_and_symmetry(num_cells, params, spec):
+    n_species = params.n_species
+    mesh, s_prev, grad_beta = _sine_setup(num_cells, params)
     rng = np.random.default_rng(5)
-    w = fem.NodalField(0.05 * rng.standard_normal((mesh.num_nodes, 3)), mesh)
-    system = fem.assemble_system(w, s_prev, P0, SPEC, 1.0, grad_beta)
-    n_int = (mesh.num_nodes - 2) * 3
+    w = fem.NodalField(
+        0.05 * rng.standard_normal((mesh.num_nodes, n_species)), mesh)
+    system = fem.assemble_system(w, s_prev, params, spec, 1.0, grad_beta)
+    n_int = (mesh.num_nodes - 2) * n_species
     assert system.matrix.shape == (n_int, n_int)
     assert system.rhs.shape == (n_int,)
     assert system.num_interior == mesh.num_nodes - 2

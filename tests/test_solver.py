@@ -10,7 +10,7 @@ from capmix import constitutive as cst
 from capmix import entropy as ent
 from capmix import fem
 from capmix import solver
-from capmix.errors import ArgumentError, PreconditionError
+from capmix.errors import ArgumentError, LinearSolveError, PreconditionError
 
 P0 = cst.default_params()
 SPEC = ent.DiffusionMatrixSpec()
@@ -53,6 +53,37 @@ def test_solve_linear_zero_load_is_exact_zero():
     system = fem.assemble_system(w0, eq, P0, SPEC, 1.0)
     x = solver.solve_linear(system)
     assert np.array_equal(x, np.zeros_like(x))
+
+
+def test_solve_linear_refuses_a_singular_system():
+    # The middle node's diagonal block is zero: no pivot exists.
+    n, nodes = 3, 3
+    mat = sparse.block_diag([np.eye(n), np.zeros((n, n)), np.eye(n)],
+                            format="csr")
+    system = fem.LinearSystem(mat, np.ones(n * nodes), 1.0, n, nodes)
+    with pytest.raises(LinearSolveError, match="factorization failed"):
+        solver.solve_linear(system)
+
+
+def test_solve_linear_refuses_an_unreachable_residual(monkeypatch):
+    solves = []
+    splu = solver.splu
+
+    def counted(mat):
+        lu = splu(mat)
+
+        class Counted:
+            def solve(self, rhs):
+                solves.append(1)
+                return lu.solve(rhs)
+
+        return Counted()
+
+    monkeypatch.setattr(solver, "splu", counted)
+    with pytest.raises(LinearSolveError, match="residual .* exceeds"):
+        solver.solve_linear(_assembled(), linear_tol=1e-20)
+    # One solve and all three refinement steps ran before the refusal.
+    assert len(solves) == 4
 
 
 def test_equilibrium_step_is_bitwise_stationary():
@@ -101,6 +132,28 @@ def test_each_step_starts_from_the_previous_converged_w(monkeypatch):
     assert np.any(ends[0] != 0.0)
     for k in range(1, 5):
         assert np.array_equal(starts[k], ends[k - 1])
+
+
+def test_homotopy_ladder_rescues_a_large_first_step(monkeypatch):
+    # A long time step from a large perturbation: the full-load iteration
+    # from w = 0 fails at step 1 and the sigma ladder brings it home.
+    params = cst.default_params(kappa=1e-2)
+    mesh = fem.build_mesh(32)
+    init = solver.sine_perturbation_initial(mesh, params, amplitude=0.5)
+    used = []
+    solve_time_step = solver.solve_time_step
+
+    def recorded(*args, **kwargs):
+        s_new, stats = solve_time_step(*args, **kwargs)
+        used.append(stats.used_homotopy)
+        return s_new, stats
+
+    monkeypatch.setattr(solver, "solve_time_step", recorded)
+    traj = solver.run_simulation(init, params, SPEC,
+                                 solver.SolverConfig(t_end=0.05))
+    assert used == [True, False, False, False, False]
+    for rec in traj.diagnostics[1:]:
+        assert rec.entropy_margin >= 0.0
 
 
 def test_perturbed_run_dissipates():
