@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, interpolate, optimize
 
 from .errors import ArgumentError, DomainError, QuadratureError, RangeError, RootFindError
 
@@ -218,15 +217,53 @@ _TABLE_INTERVALS = 4096
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 
+def _pchip_edge(h0, h1, m0, m1):
+    """One-sided three-point end slope of the monotone cubic, with the
+    Fritsch-Carlson shape corrections (scipy's ``_edge_case``)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x, y):
+    """Coefficients (4, m) of the monotone piecewise-cubic Hermite
+    interpolant (Fritsch & Carlson 1980) through (x, y), at least 3 points.
+
+    Bitwise equal to ``scipy.interpolate.PchipInterpolator(x, y).c``: the
+    node slopes are the weighted harmonic means of the adjacent secants,
+    zeroed where the secants change sign or vanish, the end slopes are
+    ``_pchip_edge``, and the cubic coefficients follow CubicHermiteSpline,
+    each in scipy's order of operations.
+    """
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+    smk = np.sign(mk)
+    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_edge(hk[0], hk[1], mk[0], mk[1])
+    d[-1] = _pchip_edge(hk[-1], hk[-2], mk[-1], mk[-2])
+    t = (d[:-1] + d[1:] - 2 * mk) / hk
+    return np.stack((t / hk, (mk - d[:-1]) / hk - t, d[:-1], y[:-1]))
+
+
 @lru_cache(maxsize=32)
 def _beta_table(lam, gamma, gamma1):
     """Monotone interpolant of beta on [0,1] from panelwise Gauss quadrature.
 
-    Returns (pchip, pchip_derivative, knots, values).  The hot paths
-    (``_beta_hat``, ``_beta_hat_prime``) read the coefficient arrays of these
-    two piecewise polynomials directly and evaluate them bit for bit as
-    calling the objects would, so every caller sees one and the same beta and
-    discrete identities that pair beta differences with tau-chords are exact
+    Returns (c, dc, knots, values): the PCHIP coefficient array through
+    (knots, values) and that of its derivative, both bitwise equal to the
+    ``.c`` of scipy's ``PchipInterpolator(knots, values)`` and of its
+    ``.derivative()``.  Every caller evaluates these arrays through
+    ``_eval_table``, so all see one and the same beta and discrete
+    identities that pair beta differences with tau-chords are exact
     regardless of table accuracy.
     """
     p = ModelParams(n_species=1, lam=lam, gamma=gamma, gamma1=gamma1,
@@ -240,13 +277,16 @@ def _beta_table(lam, gamma, gamma1):
     panel = 0.5 * h * vals @ _GAUSS_WEIGHTS
     cum = np.concatenate([[0.0], np.cumsum(panel)])
     cum -= cum[_TABLE_INTERVALS // 2]  # knots has even panel count; 0.5 is a knot
-    pch = interpolate.PchipInterpolator(knots, cum)
-    return pch, pch.derivative(), knots, cum
+    c = _pchip_coefficients(knots, cum)
+    # Power-basis derivative, as scipy's PPoly.derivative() forms it.
+    dc = c[:-1] * np.array([3.0, 2.0, 1.0])[:, None]
+    return c, dc, knots, cum
 
 
-def _eval_table(pp, knots, x):
-    """Evaluate a piecewise polynomial on the table knots at x in [0,1],
-    bitwise equal to ``pp(x)``.
+def _eval_table(c, knots, x):
+    """Evaluate the piecewise polynomial with coefficients c (highest power
+    first) on the table knots at x in [0,1], bitwise equal to scipy's
+    ``PPoly(c, knots)(x)``.
 
     The knots are k/4096, so x*4096 and the offset s = x - knots[i] are exact
     and the panel index i is a truncation instead of a search; the last panel
@@ -258,7 +298,6 @@ def _eval_table(pp, knots, x):
     x = np.asarray(x, dtype=float)
     i = np.minimum((x * _TABLE_INTERVALS).astype(np.intp), _TABLE_INTERVALS - 1)
     s = x - knots[i]
-    c = pp.c
     out = c[-1][i]
     z = s
     for k in range(c.shape[0] - 2, -1, -1):
@@ -272,16 +311,18 @@ def _eval_table(pp, knots, x):
 
 def _beta_hat(arr, p: ModelParams):
     """Tabulated beta used by transforms, assembly and diagnostics; arr in
-    [0,1].  Bitwise equal to the PCHIP object of ``_beta_table``."""
-    pch, _, knots, _ = _beta_table(p.lam, p.gamma, p.gamma1)
-    return _eval_table(pch, knots, arr)
+    [0,1].  Bitwise equal to scipy's PchipInterpolator through the table of
+    ``_beta_table``."""
+    c, _, knots, _ = _beta_table(p.lam, p.gamma, p.gamma1)
+    return _eval_table(c, knots, arr)
 
 
 def _beta_hat_prime(arr, p: ModelParams):
     """Derivative of the tabulated beta, arr in [0,1]; bitwise equal to the
-    derivative object of ``_beta_table``."""
-    _, dpch, knots, _ = _beta_table(p.lam, p.gamma, p.gamma1)
-    return _eval_table(dpch, knots, arr)
+    derivative of scipy's PchipInterpolator through the table of
+    ``_beta_table``."""
+    _, dc, knots, _ = _beta_table(p.lam, p.gamma, p.gamma1)
+    return _eval_table(dc, knots, arr)
 
 
 def beta_value(s, params: ModelParams) -> float:
@@ -296,6 +337,8 @@ def beta_value(s, params: ModelParams) -> float:
         raise DomainError(f"beta_value requires s in [0,1]; got {s!r}")
     if sf == 0.5:
         return 0.0
+    from scipy import integrate  # only this reference path needs quadrature
+
     tol = params.quadrature_tol
     val, abserr, info = integrate.quad(
         lambda t: float(_tau(np.asarray(t), params)),
@@ -314,6 +357,8 @@ def beta_inverse(b, params: ModelParams) -> float:
     Raises RangeError when b lies outside [beta(0), beta(1)] and
     RootFindError if the residual tolerance cannot be met.
     """
+    from scipy import optimize  # only this reference path needs brentq
+
     bf = float(b)
     lo_val = beta_value(0.0, params)
     hi_val = beta_value(1.0, params)
@@ -456,23 +501,23 @@ def validate_assumptions(params: ModelParams) -> AssumptionReport:
     )
 
 
-def _piecewise_quadratic_sup(pp):
-    """Exact supremum of a piecewise-quadratic scipy PPoly.
+def _piecewise_quadratic_sup(dc, knots):
+    """Exact supremum of the piecewise quadratic with coefficients dc on the
+    table knots (a table derivative from ``_beta_table``).
 
     Checks breakpoints plus the interior critical point of each quadratic
-    piece (the root of its linear derivative) that falls inside the piece.
+    piece (the root of its linear derivative) that falls inside the piece,
+    each evaluated by ``_eval_table``.
     """
-    x = pp.x
-    c = pp.c
-    candidates = [pp(x)]
-    a2, a1 = c[0], c[1]
+    candidates = [_eval_table(dc, knots, knots)]
+    a2, a1 = dc[0], dc[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         t_star = -a1 / (2.0 * a2)
-    dx = np.diff(x)
+    dx = np.diff(knots)
     inside = np.isfinite(t_star) & (t_star > 0.0) & (t_star < dx)
     if np.any(inside):
         idx = np.flatnonzero(inside)
-        candidates.append(pp(x[:-1][idx] + t_star[idx]))
+        candidates.append(_eval_table(dc, knots, knots[:-1][idx] + t_star[idx]))
     return float(np.max(np.concatenate(candidates)))
 
 
@@ -489,8 +534,8 @@ def _sup_beta_prime_cached(lam, gamma, gamma1):
     # The tabulated beta is what the scheme differences nodally, so the exact
     # supremum of the interpolant's (piecewise-quadratic) derivative is the
     # Lipschitz constant that enters the entropy-check weighting.
-    pch, _, _, _ = _beta_table(lam, gamma, gamma1)
-    sup_table = _piecewise_quadratic_sup(pch.derivative())
+    _, dc, knots, _ = _beta_table(lam, gamma, gamma1)
+    sup_table = _piecewise_quadratic_sup(dc, knots)
     return max(sup_tau, sup_table)
 
 

@@ -129,7 +129,9 @@ def solve_linear(system: fem.LinearSystem, linear_tol=1e-12) -> np.ndarray:
     mat = system.matrix
     rhs_norm = float(np.linalg.norm(rhs))
     try:
-        lu = splu(mat.tocsc())
+        # The operator is bitwise symmetric, so the transpose of its CSR form
+        # is its CSC form without the conversion's index sort.
+        lu = splu(mat.tocsr().T)
         x = lu.solve(rhs)
         # Iterative refinement squeezes out factorisation error down to the
         # rounding floor of the residual evaluation itself.

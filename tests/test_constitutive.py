@@ -6,11 +6,15 @@ quadrature of tau for beta) and are frozen here.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from capmix import constitutive as cst
 from capmix.errors import ArgumentError, DomainError, RangeError
@@ -139,8 +143,10 @@ def test_domain_errors_outside_open_interval(bad):
 
 @pytest.mark.parametrize("params", [P0, SECONDARY])
 def test_beta_table_evaluation_is_bitwise_pchip(params):
-    pch, dpch, knots, _ = cst._beta_table(params.lam, params.gamma,
-                                          params.gamma1)
+    _, _, knots, cum = cst._beta_table(params.lam, params.gamma,
+                                       params.gamma1)
+    pch = PchipInterpolator(knots, cum)
+    dpch = pch.derivative()
     rng = np.random.default_rng(20)
     x = np.concatenate([rng.random(100_000), knots, [0.0, 0.5, 1.0],
                         np.nextafter(knots[1:], 0.0),
@@ -149,6 +155,36 @@ def test_beta_table_evaluation_is_bitwise_pchip(params):
     assert np.array_equal(cst._beta_hat_prime(x, params), dpch(x))
     grid = x[:12].reshape(3, 4)
     assert np.array_equal(cst._beta_hat(grid, params), pch(grid))
+
+
+def _assert_pchip_matches_scipy(x, y):
+    assert np.array_equal(cst._pchip_coefficients(x, y),
+                          PchipInterpolator(x, y).c)
+
+
+@pytest.mark.parametrize("params", [P0, SECONDARY])
+def test_pchip_coefficients_match_scipy(params):
+    c, dc, knots, cum = cst._beta_table(params.lam, params.gamma,
+                                        params.gamma1)
+    pch = PchipInterpolator(knots, cum)
+    assert np.array_equal(c, pch.c)
+    assert np.array_equal(dc, pch.derivative().c)
+    # Non-uniform knots with interior sign changes and zero secants.
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        x = np.cumsum(0.05 + rng.random(9))
+        y = rng.standard_normal(9)
+        y[rng.random(9) < 0.3] = 0.0
+        _assert_pchip_matches_scipy(x, y)
+    # End slopes that take both shape corrections at either end: with unit
+    # spacing the three-point estimate is (3 m0 - m1)/2.
+    x = np.arange(5.0)
+    for y, left in [([0.0, 1.0, 5.0, 6.0, 7.0], 0.0),           # sign flip
+                    ([0.0, 1.0, -9.0, -8.0, -7.0], 3.0)]:       # overshoot
+        y = np.array(y)
+        assert cst._pchip_coefficients(x, y)[2, 0] == left
+        _assert_pchip_matches_scipy(x, y)
+        _assert_pchip_matches_scipy(x, -y[::-1])
 
 
 def test_beta_accepts_closed_interval():
@@ -219,6 +255,65 @@ def test_sup_beta_prime_reference():
     # the tabulated interpolant may exceed it only by interpolation noise.
     v = cst.sup_beta_prime(P0)
     assert 1.0 <= v <= 1.0 + 1e-9
+
+
+def _sup_beta_prime_from_scipy(params):
+    """sup_beta_prime rebuilt on scipy's PCHIP derivative, exactly as the
+    supremum was formed from the PPoly object itself."""
+    _, _, knots, cum = cst._beta_table(params.lam, params.gamma,
+                                       params.gamma1)
+    pp = PchipInterpolator(knots, cum).derivative()
+    candidates = [pp(pp.x)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = -pp.c[1] / (2.0 * pp.c[0])
+    inside = np.isfinite(t_star) & (t_star > 0.0) & (t_star < np.diff(pp.x))
+    idx = np.flatnonzero(inside)
+    candidates.append(pp(pp.x[:-1][idx] + t_star[idx]))
+    sup_table = float(np.max(np.concatenate(candidates)))
+    grid = np.concatenate([
+        np.linspace(0.0, 1.0, 100_001),
+        1.0 - np.geomspace(1e-14, 1e-5, 200),
+        np.geomspace(1e-14, 1e-5, 200),
+    ])
+    return max(float(np.max(cst._tau(grid, params))), sup_table)
+
+
+@pytest.mark.parametrize("params", [P0, SECONDARY])
+def test_sup_beta_prime_is_bitwise_the_scipy_table_sup(params):
+    # c_beta = 1/sup_beta_prime weights every entropy check, so not even its
+    # last bit may move.
+    assert cst.sup_beta_prime(params) == _sup_beta_prime_from_scipy(params)
+
+
+def test_solve_path_imports_no_unused_scipy_subpackage():
+    # A fresh interpreter: the test session itself has imported scipy widely.
+    script = """
+import sys
+import numpy as np
+import capmix
+from capmix import constitutive as cst, entropy, fem, solver
+
+params = cst.default_params()
+cst.sup_beta_prime(params)
+mesh = fem.build_mesh(8)
+init = solver.sine_perturbation_initial(mesh, params, amplitude=0.1)
+solver.run_simulation(init, params, entropy.DiffusionMatrixSpec(),
+                      solver.SolverConfig(t_end=2 * params.kappa))
+states = np.random.default_rng(1).dirichlet(np.ones(4), size=4)[:, :3]
+prev = states.sum(axis=1)
+w, _, _ = entropy.w_from_states(states, prev, params)
+entropy.states_from_w(w, prev, params)
+print(*sys.modules)
+"""
+    # The child imports the same capmix this session tests.
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cst.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env).stdout.split()
+    assert "capmix.solver" in out
+    unused = ("scipy.integrate", "scipy.optimize", "scipy.interpolate",
+              "scipy.special")
+    assert [m for m in out if m.startswith(unused)] == []
 
 
 def valid_exponents(draw):

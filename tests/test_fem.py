@@ -1,6 +1,8 @@
 """Mesh, nodal fields and the assembled linear system: structure, symmetry,
 the equilibrium null property, and the history load."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,20 +107,27 @@ def _sine_setup(num_cells=16, params=P0):
     return mesh, s_prev, grad_beta
 
 
-@pytest.mark.parametrize("num_cells, params, spec", [
+ASSEMBLED_CASES = pytest.mark.parametrize("num_cells, params, spec", [
     pytest.param(16, P0, SPEC, id="16-cells-3-species"),
     # One interior node: both outer blocks are dropped from the same row.
     pytest.param(2, P0, SPEC, id="2-cells-3-species"),
     pytest.param(3, P0, SPEC, id="3-cells-3-species"),
     pytest.param(16, P8, SPEC_WEIGHTED, id="16-cells-8-species-weighted"),
 ])
-def test_assembled_system_shape_and_symmetry(num_cells, params, spec):
-    n_species = params.n_species
+
+
+def _assembled_case(num_cells, params, spec):
     mesh, s_prev, grad_beta = _sine_setup(num_cells, params)
     rng = np.random.default_rng(5)
     w = fem.NodalField(
-        0.05 * rng.standard_normal((mesh.num_nodes, n_species)), mesh)
-    system = fem.assemble_system(w, s_prev, params, spec, 1.0, grad_beta)
+        0.05 * rng.standard_normal((mesh.num_nodes, params.n_species)), mesh)
+    return mesh, fem.assemble_system(w, s_prev, params, spec, 1.0, grad_beta)
+
+
+@ASSEMBLED_CASES
+def test_assembled_system_shape_and_symmetry(num_cells, params, spec):
+    n_species = params.n_species
+    mesh, system = _assembled_case(num_cells, params, spec)
     n_int = (mesh.num_nodes - 2) * n_species
     assert system.matrix.shape == (n_int, n_int)
     assert system.rhs.shape == (n_int,)
@@ -127,6 +136,21 @@ def test_assembled_system_shape_and_symmetry(num_cells, params, spec):
     # Bitwise symmetric by construction (symmetric outer products only).
     assert np.max(np.abs(dense - dense.T)) == 0.0
     assert np.linalg.eigvalsh(dense).min() > 0.0
+
+
+@ASSEMBLED_CASES
+def test_transposed_csr_is_the_csc_operator(num_cells, params, spec):
+    # solve_linear factorises mat.tocsr().T: by bitwise symmetry it must be
+    # the CSC form itself, handed to splu without a format conversion.
+    _, system = _assembled_case(num_cells, params, spec)
+    csc = system.matrix.tocsc()
+    transposed = system.matrix.tocsr().T
+    assert transposed.format == "csc"
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(transposed, name), getattr(csc, name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solver.solve_linear(system)
 
 
 def test_assembled_load_scales_linearly_in_sigma():
