@@ -142,24 +142,38 @@ class AssumptionReport:
 
 
 def _as_open_unit(s):
-    """Validate s in (0,1) elementwise; return float array and scalar flag."""
+    """Validate s in (0,1) elementwise; return float array and scalar flag.
+
+    One min and one max decide the common case: a NaN makes the minimum NaN
+    and an infinity lands at an end, so both fail the open-interval test.
+    """
     arr = np.asarray(s, dtype=float)
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         bad = arr[~(np.isfinite(arr) & (arr > 0.0) & (arr < 1.0))]
         raise DomainError(f"saturation must lie strictly in (0,1); got {bad.flat[0]!r}")
     return arr, np.isscalar(s) or arr.ndim == 0
 
 
 def _log_s_terms(arr, p: ModelParams):
-    """Return (gamma*log s, lam*log(1-s)) — the two recurring log powers."""
+    """Return (gamma log s, lam log(1-s), log s, log(S^gamma + (1-S)^lam)),
+    the log powers that the mobility and tau share."""
     ls = np.log(arr)
-    l1ms = np.log1p(-arr)
-    return p.gamma * ls, p.lam * l1ms, ls, l1ms
+    lg = p.gamma * ls
+    la = p.lam * np.log1p(-arr)
+    return lg, la, ls, np.logaddexp(lg, la)
+
+
+def _mobility_from_logs(lg, la, den):
+    return np.exp(lg + la - den)
+
+
+def _tau_from_logs(lg, la, ls, den, p: ModelParams):
+    return np.exp(np.logaddexp(lg, (p.gamma - p.gamma1) * ls + la) - den)
 
 
 def _mobility(arr, p: ModelParams):
-    lg, la, _, _ = _log_s_terms(arr, p)
-    return np.exp(lg + la - np.logaddexp(lg, la))
+    lg, la, _, den = _log_s_terms(arr, p)
+    return _mobility_from_logs(lg, la, den)
 
 
 def _tau(s, p: ModelParams):
@@ -169,12 +183,8 @@ def _tau(s, p: ModelParams):
     flat = arr.ravel()
     out = np.empty_like(flat)
     interior = (flat > 0.0) & (flat < 1.0)
-    if np.any(interior):
-        si = flat[interior]
-        lg, la, ls, _ = _log_s_terms(si, p)
-        num = np.logaddexp(lg, (p.gamma - p.gamma1) * ls + la)
-        den = np.logaddexp(lg, la)
-        out[interior] = np.exp(num - den)
+    if interior.any():
+        out[interior] = _tau_from_logs(*_log_s_terms(flat[interior], p), p)
     out[flat == 0.0] = 0.0
     out[flat == 1.0] = 1.0
     return out.reshape(shape)
@@ -200,8 +210,9 @@ def eval_coeffs(s, params: ModelParams) -> CoefficientValues:
     it accurate where a underflows.
     """
     arr, scalar = _as_open_unit(s)
-    a = _mobility(arr, params)
-    tau = _tau(arr, params)
+    lg, la, ls, den = _log_s_terms(arr, params)
+    a = _mobility_from_logs(lg, la, den)
+    tau = _tau_from_logs(lg, la, ls, den, params)
     toa = _tau_over_a(arr, params)
     pcp = _pc_prime(arr, params)
     if scalar:
@@ -452,7 +463,9 @@ def validate_assumptions(params: ModelParams) -> AssumptionReport:
       5 < beta1,  beta1 <= gamma1,  gamma1 < gamma,
       gamma < beta1/2 + (5/6)(gamma1 - 2),
       5 < beta2,  beta2 <= lam,  lam < 3 beta2 - 10,
-    plus a sampled verification that pc' <= tau/a on a fine interior grid.
+    the computed p_gamma, p_lambda > 1 (which those clauses imply in exact
+    arithmetic), plus a sampled verification that pc' <= tau/a on a fine
+    interior grid.
     """
     g, g1, b1 = params.gamma, params.gamma1, params.beta1
     lm, b2 = params.lam, params.beta2
@@ -463,19 +476,28 @@ def validate_assumptions(params: ModelParams) -> AssumptionReport:
         if not ok:
             clauses.append(text if bound is None else f"{text} (bound {bound:.6g})")
 
+    bound_gamma = b1 / 2.0 + (5.0 / 6.0) * (g1 - 2.0)
+    bound_lam = 3.0 * b2 - 10.0
     check(5.0 < b1, "5 < beta1")
     check(b1 <= g1, "beta1 <= gamma1", g1)
     check(g1 < g, "gamma1 < gamma", g1)
-    check(g < b1 / 2.0 + (5.0 / 6.0) * (g1 - 2.0),
-          "gamma < beta1/2 + (5/6)(gamma1 - 2)", b1 / 2.0 + (5.0 / 6.0) * (g1 - 2.0))
+    check(g < bound_gamma, "gamma < beta1/2 + (5/6)(gamma1 - 2)", bound_gamma)
     check(5.0 < b2, "5 < beta2")
     check(b2 <= lm, "beta2 <= lam", b2)
-    check(lm < 3.0 * b2 - 10.0, "lam < 3 beta2 - 10", 3.0 * b2 - 10.0)
+    check(lm < bound_lam, "lam < 3 beta2 - 10", bound_lam)
 
     alpha1 = 1.0 + (g - g1 - b1) / 2.0
     alpha2 = 1.0 - b2 / 2.0
     p_gamma = -(10.0 / 3.0 + g - (5.0 / 3.0) * g1 - b1) / g
     p_lambda = -(4.0 / 3.0 - (2.0 / 3.0) * lm + 2.0 - b2) / lm
+    # p - 1 is proportional to the margin of the gamma (lam) clause.  Within
+    # a few ulps of that edge the exact p - 1 can lie below half the double
+    # spacing at 1, so p rounds to 1 although the clause holds; the bounds
+    # that use p need p > 1 as computed.  Checked only when every exponent
+    # clause holds, so that it names just that rounding edge.
+    if not clauses:
+        check(p_gamma > 1.0 and p_lambda > 1.0,
+              "computed p_gamma, p_lambda > 1")
     p = min(p_gamma, p_lambda)
     q = 2.0 * p / (1.0 + p) if p > -1.0 else math.nan
 

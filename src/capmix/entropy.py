@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,12 +178,17 @@ def species_from_relative(total, mu_star) -> SpeciesState:
 # Entropy-variable transform
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
 def _f_scalar_terms(params):
-    """Constants of f: (log boundary fractions, f0(S^G), boundary total)."""
+    """Constants of f, once per parameter set: (log boundary fractions,
+    f0(S^G), boundary total, boundary composition); the arrays are
+    read-only because every caller shares them."""
     sg, sgt = _boundary_arrays(params)
     log_yg = np.log(sg) - math.log(sgt)
     f0_ref = cst.f0_integral(sgt, params)
-    return log_yg, f0_ref, sgt
+    log_yg.flags.writeable = False
+    sg.flags.writeable = False
+    return log_yg, f0_ref, sgt, sg
 
 
 def _f_of_total(total, beta_prev, f0_ref, params):
@@ -211,7 +217,7 @@ def _w_many(s, total, s_prev_total, params):
     s: (m, n) components, total: (m,), s_prev_total: (m,).
     Returns (w (m,n), ds_dw (m,n), f_value (m,)).
     """
-    log_yg, f0_ref, _ = _f_scalar_terms(params)
+    log_yg, f0_ref, _, _ = _f_scalar_terms(params)
     f_val = _f_of_total(total, cst._beta_hat(s_prev_total, params), f0_ref, params)
     logy = np.log(s) - np.log(total)[:, None]
     w = (logy - log_yg[None, :]) + f_val[:, None]
@@ -241,7 +247,7 @@ def _solve_total_many(c, s_prev_total, params, max_iter=100):
     c = np.asarray(c, dtype=float)
     prev = np.asarray(s_prev_total, dtype=float)
     tol = params.rootfind_tol * (1.0 + np.abs(c))
-    _, f0_ref, _ = _f_scalar_terms(params)
+    _, f0_ref, _, _ = _f_scalar_terms(params)
     beta_prev = cst._beta_hat(prev, params)
 
     # Points already converged at their previous total (stationary regions)
@@ -269,17 +275,17 @@ def _solve_total_many(c, s_prev_total, params, max_iter=100):
         take = (np.isfinite(newton) & (newton > lo) & (newton < hi)
                 & (np.abs(dn) <= 0.5 * dx_old))
         x_new = np.where(take, newton, 0.5 * (lo + hi))
-        if np.any((x_new <= lo) | (x_new >= hi)):
+        if ((x_new <= lo) | (x_new >= hi)).any():
             break  # some bracket holds no double strictly inside: a stall
         dx_old, dx = dx, np.abs(x_new - x)
         x = x_new
         fx = _f_of_total(x, bp, f0_ref, params)
         done = np.abs(fx - cc) <= tt
-        if np.any(done):
+        if done.any():
             total[todo[done]] = x[done]
             f_val[todo[done]] = fx[done]
             keep = ~done
-            if not np.any(keep):
+            if not keep.any():
                 return total, f_val
             todo, x, fx, cc, tt, bp, lo, hi, dx, dx_old = (
                 a[keep] for a in (todo, x, fx, cc, tt, bp, lo, hi, dx, dx_old))
@@ -298,15 +304,14 @@ def _state_from_w_many(w, s_prev_total, params):
     """
     w = np.asarray(w, dtype=float)
     prev = np.asarray(s_prev_total, dtype=float)
-    log_yg, _, sgt = _f_scalar_terms(params)
-    sg, _ = _boundary_arrays(params)
+    log_yg, _, sgt, sg = _f_scalar_terms(params)
 
     # At w = 0 with the previous total equal to the boundary total, the exact
     # root is the boundary state itself (f(S^G_total) = 0 and the fractions
     # reduce to the boundary fractions); return it bitwise so equilibrium is
     # preserved exactly instead of to round-off of logsumexp/softmax.
-    snap = (prev == sgt) & np.all(w == 0.0, axis=1)
-    if np.any(snap):
+    snap = (prev == sgt) & (w == 0.0).all(axis=1)
+    if snap.any():
         m, n = w.shape
         s = np.empty((m, n))
         total = np.empty(m)
@@ -315,7 +320,7 @@ def _state_from_w_many(w, s_prev_total, params):
         total[snap] = sgt
         f_val[snap] = 0.0
         rest = ~snap
-        if np.any(rest):
+        if rest.any():
             s_r, t_r, f_r = _state_from_w_core(w[rest], prev[rest], log_yg, params)
             s[rest] = s_r
             total[rest] = t_r

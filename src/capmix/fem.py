@@ -34,12 +34,18 @@ Assembly is fully vectorised over cells and recovers the quadrature points
 and the nodes in one stacked call.  Every per-point coefficient has its one
 definition in ``_point_coefficients``, which the diagnostics module reuses
 with the same interpolation/recovery helpers, so the dissipation budget and
-the weak residual see the identical quadrature and fluxes as assembly.
+the weak residual see the identical quadrature and fluxes as assembly; at
+the nodes assembly asks it only for the mobility that the time term needs.
+The operator is stored as CSC: its index pattern depends only on the number
+of interior nodes and species and is built once per pair, and each
+assembly gathers its stacked node blocks into the data array.  A mesh
+computes its cell widths and lumped masses once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -67,17 +73,28 @@ _Q_W = np.array([0.5, 0.5])  # weights relative to cell width
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Uniform 1d mesh on (x_left, x_right) with nodes at cell endpoints."""
+    """Uniform 1d mesh on (x_left, x_right) with nodes at cell endpoints.
+
+    The nodes are a read-only copy; the cell widths and the lumped nodal
+    masses are computed once, read-only, because every assembly uses them.
+    """
 
     nodes: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", arr)
+        arr = np.array(self.nodes, dtype=float)
         if arr.ndim != 1 or arr.size < 3:
             raise ArgumentError("mesh needs at least 2 cells (3 nodes)")
-        if not np.all(np.diff(arr) > 0):
+        widths = np.diff(arr)
+        if not (widths > 0).all():
             raise ArgumentError("mesh nodes must be strictly increasing")
+        masses = np.zeros(arr.size)
+        masses[:-1] += 0.5 * widths
+        masses[1:] += 0.5 * widths
+        for name, value in (("nodes", arr), ("_widths", widths),
+                            ("_lumped_masses", masses)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def num_nodes(self):
@@ -89,7 +106,13 @@ class Mesh:
 
     @property
     def widths(self):
-        return np.diff(self.nodes)
+        return self._widths
+
+    @property
+    def lumped_masses(self):
+        """Trapezoidal (lumped) nodal masses, read-only; ``lumped_mass``
+        returns a writable copy."""
+        return self._lumped_masses
 
     @property
     def boundary_nodes(self):
@@ -163,9 +186,11 @@ def constant_field(mesh: Mesh, params) -> NodalField:
 class LinearSystem:
     """Sparse symmetric system over interior degrees of freedom (node-major:
     unknown (node, species) at index node*n + species).  The matrix is block
-    tridiagonal and stored as BSR with one (n, n) block per node pair."""
+    tridiagonal with one (n, n) block per node pair, stored as CSC; being
+    bitwise symmetric, its CSC arrays are also its CSR arrays.  Its index
+    arrays are shared by every system of the same size and read-only."""
 
-    matrix: sparse.bsr_matrix
+    matrix: sparse.csc_matrix
     rhs: np.ndarray
     sigma: float
     n_species: int
@@ -173,12 +198,14 @@ class LinearSystem:
 
 
 def lumped_mass(mesh: Mesh) -> np.ndarray:
-    """Trapezoidal (lumped) nodal masses, all nodes."""
-    h = mesh.widths
-    m = np.zeros(mesh.num_nodes)
-    m[:-1] += 0.5 * h
-    m[1:] += 0.5 * h
-    return m
+    """Trapezoidal (lumped) nodal masses, all nodes (a writable copy)."""
+    return mesh.lumped_masses.copy()
+
+
+def _lumped_l2(vv, mesh: Mesh) -> float:
+    """Mass-lumped L2 norm of (num_nodes, k) data: the ``l2`` entry of
+    ``field_norms``, without the seminorm (the fixed-point defect norm)."""
+    return float(np.sqrt(np.sum(mesh.lumped_masses[:, None] * vv**2)))
 
 
 def field_norms(field, mesh: Mesh) -> dict:
@@ -191,8 +218,7 @@ def field_norms(field, mesh: Mesh) -> dict:
     if v.shape[0] != mesh.num_nodes or v.ndim > 2:
         raise ArgumentError("field size does not match mesh")
     vv = v if v.ndim == 2 else v[:, None]
-    m = lumped_mass(mesh)
-    l2 = float(np.sqrt(np.sum(m[:, None] * vv**2)))
+    l2 = _lumped_l2(vv, mesh)
     h = mesh.widths
     grads = (vv[1:] - vv[:-1]) / h[:, None]
     h1 = float(np.sqrt(np.sum(h[:, None] * grads**2)))
@@ -229,7 +255,7 @@ def _recover_points(w_pts, prev_tot_pts, params):
     return s.reshape(lead + (n,)), total.reshape(lead)
 
 
-def _point_coefficients(s, total, params, spec):
+def _point_coefficients(s, total, params, spec, flux_points=None):
     """Per-point coefficients of the operator and load at recovered states.
 
     s: (..., n) components, total: (...).  Returns a dict of arrays with that
@@ -237,14 +263,24 @@ def _point_coefficients(s, total, params, spec):
     y = s/S, the history coefficient (tau - a pc')/f' (nonnegative because
     pc' <= tau/a), mobility M = outer(s, s)/(S f') (bitwise symmetric) and
     alpha = M G + D(s) + eps diag(y) with G = (a/S)(pc' + tau/kappa).
+
+    With flux_points = k, s is a flat (m, n) stack whose first k points are
+    flux (quadrature) points and the rest nodes.  Every entry then covers the
+    first k points only, and an extra entry node_mobility holds the mobility
+    at the other m - k points, the one coefficient assembly reads there.
     """
     kappa = params.kappa
     coeff = cst.eval_coeffs(total, params)
     a, pcp, tau = coeff.a, coeff.pc_prime, coeff.tau
     fprime = coeff.tau_over_a + tau / kappa
-    g = (a / total) * (pcp + tau / kappa)
     mob = s[..., :, None] * s[..., None, :] / (total * fprime)[..., None, None]
+    out = {}
+    if flux_points is not None:
+        out["node_mobility"] = mob[flux_points:]
+        s, total, a, pcp, tau, fprime, mob = (
+            v[:flux_points] for v in (s, total, a, pcp, tau, fprime, mob))
 
+    g = (a / total) * (pcp + tau / kappa)
     n = s.shape[-1]
     d = ent._diffusion_many(s.reshape(-1, n), spec).reshape(s.shape + (n,))
     y = s / total[..., None]
@@ -252,10 +288,9 @@ def _point_coefficients(s, total, params, spec):
     idx = np.arange(n)
     alpha[..., idx, idx] += params.eps * y
 
-    return {
-        "a": a, "pc_prime": pcp, "tau": tau, "f_prime": fprime, "y": y,
-        "history": (tau - a * pcp) / fprime, "mobility": mob, "alpha": alpha,
-    }
+    out.update(a=a, pc_prime=pcp, tau=tau, f_prime=fprime, mobility=mob, y=y,
+               history=(tau - a * pcp) / fprime, alpha=alpha)
+    return out
 
 
 def beta_gradient_field(state: NodalField, params) -> np.ndarray:
@@ -276,7 +311,8 @@ def _coefficient_blocks(w_star, s_prev, params, spec):
     """What the bilinear form and load need from the current iterate.
 
     Recovers the 2 num_cells quadrature points and the nodes in one stacked
-    call and evaluates their coefficients once.  Returns the operator blocks
+    call and evaluates their coefficients once, the flux coefficients at the
+    quadrature points only.  Returns the operator blocks
     alpha, fractions y and history coefficients at the quadrature points
     (leading shape (num_cells, num_q)), then the recovered states and the
     mobility blocks at the nodes (leading shape (num_nodes,)).
@@ -292,12 +328,39 @@ def _coefficient_blocks(w_star, s_prev, params, spec):
     s, total = _recover_points(
         np.concatenate([w_q, w]), np.concatenate([prev_tot_q, prev_tot]),
         params)
-    coef = _point_coefficients(s, total, params, spec)
+    coef = _point_coefficients(s, total, params, spec, flux_points=nq)
 
-    return (coef["alpha"][:nq].reshape(q_shape + (n, n)),
-            coef["y"][:nq].reshape(q_shape + (n,)),
-            coef["history"][:nq].reshape(q_shape),
-            s[nq:], coef["mobility"][nq:])
+    return (coef["alpha"].reshape(q_shape + (n, n)),
+            coef["y"].reshape(q_shape + (n,)),
+            coef["history"].reshape(q_shape),
+            s[nq:], coef["node_mobility"])
+
+
+@lru_cache(maxsize=16)
+def _operator_pattern(ni, n):
+    """CSC pattern of the block-tridiagonal operator over ni interior nodes
+    with (n, n) blocks, and the gather of its data from the stacked blocks.
+
+    Block row p holds the blocks of columns p-1, p, p+1 at [p, 0..2] of an
+    (ni, 3, n, n) stack; the first and last rows have no outer neighbour.
+    The pattern lists each scalar row's entries by increasing column, as
+    CSR does.  The operator is bitwise symmetric, so these CSR arrays are
+    its CSC arrays.  Returns read-only (gather, indices, indptr).
+    """
+    # Scalar row (p, i) lists its blocks b, each by columns j.
+    p, i, b, j = np.ix_(np.arange(ni), np.arange(n), np.arange(3),
+                        np.arange(n))
+    col_block = p + b - 1
+    shape = (ni, n, 3, n)
+    keep = np.broadcast_to((col_block >= 0) & (col_block < ni), shape)
+    gather = np.broadcast_to(((p * 3 + b) * n + i) * n + j, shape)[keep]
+    indices = np.broadcast_to(col_block * n + j, shape)[keep]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=(2, 3)).ravel())])
+    arrays = (gather.astype(np.intp), indices.astype(np.intc),
+              indptr.astype(np.intc))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
@@ -327,6 +390,7 @@ def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
     n = params.n_species
     nn, nc = mesh.num_nodes, mesh.num_cells
     h = mesh.widths
+    m_lump = mesh.lumped_masses
 
     if grad_beta_prev is None:
         grad_beta_prev = beta_gradient_field(s_prev, params)
@@ -342,7 +406,7 @@ def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
     # this average enters the stiffness block.
     c_bar = np.einsum("q,cqij->cij", _Q_W, alpha_q)  # (nc, n, n)
 
-    if not np.all(np.isfinite(c_bar)):
+    if not np.isfinite(c_bar).all():
         raise AssemblyError("non-finite frozen coefficient in the operator")
 
     # History flux, q-averaged per cell and species:
@@ -351,7 +415,6 @@ def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
                           y_q * (hist_q * grad_beta_prev)[..., None])
     flux_hist /= params.kappa
 
-    m_lump = lumped_mass(mesh)
     load = np.zeros((nn, n))
     load -= m_lump[:, None] * (s_star_nodes - s_prev.values) / params.kappa
     # Counterpart of the implicit time block: + (m/kappa) M(S*) w*.
@@ -363,25 +426,24 @@ def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
     load[1:] += flux_hist
     load *= sigma
 
-    if not np.all(np.isfinite(load)):
+    if not np.isfinite(load).all():
         raise AssemblyError("non-finite frozen coefficient in the load")
 
     # Block tridiagonal over the interior nodes p = 0..ni-1 (node p+1), whose
     # left and right cells are p and p+1: block row p holds -stiff[p], the
     # diagonal (mass_p + stiff[p+1]) + stiff[p] and -stiff[p+1].  The first
-    # and last rows have no outer neighbour, so their outer block is dropped.
+    # and last rows have no outer neighbour, so their outer block is dropped
+    # by the gather of _operator_pattern.
     stiff = c_bar / h[:, None, None]  # (nc, n, n)
     mass = (sigma / params.kappa) * m_lump[1:-1, None, None] * m_nodes[1:-1]
-    if not np.all(np.isfinite(mass)):
+    if not np.isfinite(mass).all():
         raise AssemblyError("non-finite mobility block in the time term")
     ni = nn - 2
     blocks = np.stack([-stiff[:-1], (mass + stiff[1:]) + stiff[:-1],
                        -stiff[1:]], axis=1)  # (ni, 3, n, n)
-    cols = np.arange(ni)[:, None] + np.array([-1, 0, 1])
-    indptr = np.clip(3 * np.arange(ni + 1) - 1, 0, 3 * ni - 2)
-    mat = sparse.bsr_matrix(
-        (blocks.reshape(3 * ni, n, n)[1:-1], cols.ravel()[1:-1], indptr),
-        shape=(ni * n, ni * n))
+    gather, indices, indptr = _operator_pattern(ni, n)
+    mat = sparse.csc_matrix((blocks.ravel()[gather], indices, indptr),
+                            shape=(ni * n, ni * n))
 
     rhs = load[1:-1].ravel()
     return LinearSystem(mat, rhs, float(sigma), n, ni)

@@ -116,39 +116,41 @@ class Trajectory:
     config: SolverConfig = None
 
 
-def solve_linear(system: fem.LinearSystem, linear_tol=1e-12) -> np.ndarray:
+def solve_linear(system: fem.LinearSystem,
+                 linear_tol=SolverConfig.linear_tol) -> np.ndarray:
     """Solve the assembled SPD system to a verified relative residual.
 
     A sparse LU factorisation followed by up to three steps of iterative
     refinement; the achieved residual is checked against linear_tol times
-    the load norm.
+    the load norm.  linear_tol defaults to the run configuration's.
     """
     rhs = system.rhs
-    if not np.any(rhs):
+    if not rhs.any():
         return np.zeros_like(rhs)
     mat = system.matrix
-    rhs_norm = float(np.linalg.norm(rhs))
+    allowed = linear_tol * float(np.linalg.norm(rhs))
     try:
-        # The operator is bitwise symmetric, so the transpose of its CSR form
-        # is its CSC form without the conversion's index sort.
-        lu = splu(mat.tocsr().T)
+        # The assembled operator is CSC already; tocsc() then returns it
+        # as is.
+        lu = splu(mat.tocsc())
         x = lu.solve(rhs)
         # Iterative refinement squeezes out factorisation error down to the
-        # rounding floor of the residual evaluation itself.
-        for _ in range(3):
+        # rounding floor of the residual evaluation itself; the last residual
+        # evaluated is the one checked below.
+        for refinements in range(4):
             r = rhs - mat @ x
-            if float(np.linalg.norm(r)) <= linear_tol * rhs_norm:
+            resid = float(np.linalg.norm(r))
+            if resid <= allowed or refinements == 3:
                 break
             x += lu.solve(r)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise LinearSolveError("linear solve produced non-finite values")
-    resid = float(np.linalg.norm(mat @ x - rhs))
-    if resid > linear_tol * rhs_norm:
+    if resid > allowed:
         raise LinearSolveError(
             f"linear solve residual {resid:.3e} exceeds "
-            f"{linear_tol:.1e} * ||rhs|| = {linear_tol * rhs_norm:.3e}")
+            f"{linear_tol:.1e} * ||rhs|| = {allowed:.3e}")
     return x
 
 
@@ -194,7 +196,7 @@ def _newton_polish(x, g, res, apply_map, mesh, cfg: SolverConfig, budget):
                          restart=_GMRES_RESTART, maxiter=1)
         except (_BudgetExhausted, AssemblyError, LinearSolveError):
             break
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             break
         d = d.reshape(shape)
 
@@ -210,7 +212,7 @@ def _newton_polish(x, g, res, apply_map, mesh, cfg: SolverConfig, budget):
                 alpha *= 0.5
                 continue
             f_t = g_t - trial
-            res_t = fem.field_norms(f_t, mesh)["l2"]
+            res_t = fem._lumped_l2(f_t, mesh)
             if res_t <= cfg.fp_tol:
                 return g_t, res_t, True, used
             if res_t < res:
@@ -266,7 +268,12 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
 
     x = w_init.copy()
     mixing = min(cfg.damping, _MIXING_START)
-    hist_x, hist_f = [], []
+    # Anderson history: the newest (iterate, defect) pair and the columns of
+    # differences between consecutive pairs, oldest first, at most a window.
+    last_x = last_f = None
+    dx_cols = np.empty((x.size, _ANDERSON_WINDOW))
+    df_cols = np.empty((x.size, _ANDERSON_WINDOW))
+    cols = 0
     best_x, best_g, best_res = None, None, math.inf
     res = math.inf
     rejects = 0
@@ -281,13 +288,12 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
             rejects += 1
             if rejects >= 3 and mixing <= _DAMPING_FLOOR:
                 break
-            hist_x.clear()
-            hist_f.clear()
+            last_x, cols = None, 0
             mixing = max(0.5 * mixing, _DAMPING_FLOOR)
             x = best_x.copy()
             continue
         f = g - x
-        res = fem.field_norms(f, mesh)["l2"]
+        res = fem._lumped_l2(f, mesh)
         if res <= cfg.fp_tol:
             return g, evals, res, True, mixing
         if res < best_res:
@@ -297,29 +303,29 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
             rejects += 1
             if rejects >= 5:
                 break
-            hist_x.clear()
-            hist_f.clear()
+            last_x, cols = None, 0
             mixing = max(0.5 * mixing, _DAMPING_FLOOR)
             x = best_x.copy()
             continue
-        hist_x.append(x.copy())
-        hist_f.append(f.copy())
-        if len(hist_x) > _ANDERSON_WINDOW + 1:
-            hist_x.pop(0)
-            hist_f.pop(0)
-        if len(hist_x) >= 2:
-            df = np.stack([(hist_f[j + 1] - hist_f[j]).ravel()
-                           for j in range(len(hist_f) - 1)], axis=1)
-            dx = np.stack([(hist_x[j + 1] - hist_x[j]).ravel()
-                           for j in range(len(hist_x) - 1)], axis=1)
+        if last_x is not None:
+            if cols == _ANDERSON_WINDOW:
+                dx_cols[:, :-1] = dx_cols[:, 1:]
+                df_cols[:, :-1] = df_cols[:, 1:]
+                cols -= 1
+            dx_cols[:, cols] = (x - last_x).ravel()
+            df_cols[:, cols] = (f - last_f).ravel()
+            cols += 1
+        # x and f are rebound, never updated in place, so no copies.
+        last_x, last_f = x, f
+        if cols:
+            dx, df = dx_cols[:, :cols], df_cols[:, :cols]
             theta, *_ = np.linalg.lstsq(df, f.ravel(), rcond=None)
-            if np.all(np.isfinite(theta)) and np.max(np.abs(theta)) <= 50.0:
+            if np.isfinite(theta).all() and np.abs(theta).max() <= 50.0:
                 step = mixing * f.ravel() - (dx + mixing * df) @ theta
                 x = x + step.reshape(x.shape)
                 continue
             # Ill-conditioned history: keep only the newest pair.
-            hist_x = hist_x[-1:]
-            hist_f = hist_f[-1:]
+            cols = 0
         x = x + mixing * f
 
     if best_x is not None:
@@ -393,7 +399,8 @@ def run_simulation(initial: fem.NodalField, params, spec,
     enforced before any stepping.  Each accepted step is budgeted and the
     entropy inequality checked with tolerance 10 * fp_tol; strict mode turns
     a violation into an abort.  Each step's solve starts from the entropy
-    variable the step before converged to.
+    variable the step before converged to.  A solver error of a step is
+    re-raised as the same type with the step and its time prefixed.
     """
     mesh = initial.mesh
     try:
@@ -416,9 +423,12 @@ def run_simulation(initial: fem.NodalField, params, spec,
     w_prev = None
 
     for k in range(1, num_steps + 1):
-        s_new, stats = solve_time_step(s_prev, params, spec, solver_cfg,
-                                       grad_beta_prev=grad_beta,
-                                       w_start=w_prev)
+        try:
+            s_new, stats = solve_time_step(s_prev, params, spec, solver_cfg,
+                                           grad_beta_prev=grad_beta,
+                                           w_start=w_prev)
+        except (FixedPointError, LinearSolveError, AssemblyError) as exc:
+            raise type(exc)(f"step {k} (t = {k * kappa:g}): {exc}") from exc
         budget = diag.dissipation_budget(s_new, s_prev, params, spec, mesh,
                                          step=k, time=k * kappa,
                                          fp_iters=stats.iterations,

@@ -63,3 +63,31 @@ def test_traced_result_slots_hold_their_counts():
                                        np.full(m, params.total_gamma), params)
     assert len(recovered[1]) == m
     assert recovered[1].shape == (m,)
+
+
+def test_traced_run_counts_agree(monkeypatch, capsys):
+    # The benchmark's tracer on a short run: every name it wraps exists and
+    # is reached, and its counts obey the identities its checks rely on.
+    tracing = _load_tracing()
+    modules = {name: importlib.import_module(f"capmix.{name}")
+               for name in ("runio", "solver", "fem", "entropy",
+                            "diagnostics")}
+    for mod, attr, _ in tracing.WRAPPED:
+        # Registered with monkeypatch so the original is restored afterwards.
+        monkeypatch.setattr(modules[mod], attr, getattr(modules[mod], attr))
+    tracer = tracing.Tracer()
+    tracer.install(modules)
+    assert "not wrapped" not in capsys.readouterr().err
+
+    params = cst.default_params()
+    mesh = fem.build_mesh(16)
+    init = solver.sine_perturbation_initial(mesh, params, amplitude=0.1)
+    tracer.start_batch(0)
+    traj = solver.run_simulation(init, params, ent.DiffusionMatrixSpec(),
+                                 solver.SolverConfig(t_end=5 * params.kappa))
+    metrics = tracer.batch_metrics(0)
+    fp_iters = sum(rec.fp_iters for rec in traj.diagnostics[1:])
+    assert metrics["solver.steps"] == 5
+    assert (metrics["fem.assemble_calls"] == metrics["solver.map_evals"]
+            == metrics["solver.linear_calls"] == fp_iters > 0)
+    assert metrics["entropy.rootfind_point_evals"] > 0

@@ -107,6 +107,25 @@ def test_linear_solver_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", cfg]) == 3
 
 
+def test_run_reports_the_failing_step(tmp_path, capsys):
+    path = tmp_path / "stalls.cfg"
+    path.write_text(f"""
+    [solver]
+    t_end = 5e-3
+    fp_max_iters = 1
+    [mesh]
+    num_cells = 16
+    [initial]
+    profile = sine_perturbation
+    amplitude = 0.1
+    [output]
+    directory = {tmp_path / "out"}
+    """)
+    assert cli.main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "error: step 1 (t = 0.001): fixed-point iteration failed" in err
+
+
 def test_strict_entropy_flag_overrides_config(tmp_path, monkeypatch):
     path = tmp_path / "lenient.cfg"
     path.write_text(f"""

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ def test_domain_errors_outside_open_interval(bad):
         cst.entropy_E(bad, P0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1.0])
+def test_open_unit_check_names_the_first_bad_entry(bad):
+    values = np.array([0.3, bad, 0.6, 2.0])
+    with pytest.raises(DomainError) as info:
+        cst._as_open_unit(values)
+    assert str(info.value) == (
+        f"saturation must lie strictly in (0,1); got {np.float64(bad)!r}")
+    arr, scalar = cst._as_open_unit(np.array([0.3, 0.6]))
+    assert not scalar and arr.tolist() == [0.3, 0.6]
+
+
 @pytest.mark.parametrize("params", [P0, SECONDARY])
 def test_beta_table_evaluation_is_bitwise_pchip(params):
     _, _, knots, cum = cst._beta_table(params.lam, params.gamma,
@@ -231,6 +243,46 @@ def test_validate_rejects_each_clause(override, clause):
     assert not rep.accepted
     assert any(v.startswith(clause) for v in rep.violated_clauses), \
         rep.violated_clauses
+
+
+P_CLAUSE = "computed p_gamma, p_lambda > 1"
+
+
+@pytest.mark.parametrize("override", [{"gamma": 6.4}, {"lam": 8.5}])
+def test_out_of_range_exponent_is_not_refused_for_its_p(override):
+    # These exponents make p <= 1 as well; the refusal names only the
+    # exponent clause, since the computed-p clause is for the rounding edge.
+    rep = cst.validate_assumptions(cst.default_params(**override))
+    assert rep.p <= 1.0
+    assert len(rep.violated_clauses) == 1
+    assert P_CLAUSE not in rep.violated_clauses
+
+
+@pytest.mark.parametrize("exponents", [
+    # gamma one ulp below beta1/2 + (5/6)(gamma1 - 2).
+    pytest.param(dict(beta1=6.0, gamma1=6.9961297012643815,
+                      gamma=7.163441417720318, beta2=6.0, lam=6.0),
+                 id="gamma-edge"),
+    # lam just below 3 beta2 - 10.
+    pytest.param(dict(beta1=6.0, gamma1=6.0, gamma=6.25,
+                      beta2=7.8774452245312645, lam=13.63233567359379),
+                 id="lambda-edge"),
+])
+def test_clause_edge_with_p_rounding_to_one_is_refused(exponents):
+    # Both sets meet every exponent clause, but their exact p - 1 (from the
+    # doubles, in rational arithmetic) is below half the double spacing at
+    # 1: no correctly rounded p exceeds 1, and p > 1 is what the bounds use.
+    f = {k: Fraction(v) for k, v in exponents.items()}
+    exact_p_gamma = -(Fraction(10, 3) + f["gamma"]
+                      - Fraction(5, 3) * f["gamma1"] - f["beta1"]) / f["gamma"]
+    exact_p_lambda = -(Fraction(4, 3) - Fraction(2, 3) * f["lam"] + 2
+                       - f["beta2"]) / f["lam"]
+    exact_p = min(exact_p_gamma, exact_p_lambda)
+    assert 0 < exact_p - 1 < Fraction(2.0**-53)
+    rep = cst.validate_assumptions(cst.ModelParams(**exponents))
+    assert not rep.accepted
+    assert rep.violated_clauses == (P_CLAUSE,)
+    assert rep.p == 1.0
 
 
 def test_params_validation():
@@ -337,11 +389,15 @@ def valid_exponents(draw):
 def test_capillary_slope_dominated_for_valid_exponents(d):
     params = valid_exponents(d.draw)
     rep = cst.validate_assumptions(params)
-    assert rep.accepted, rep.violated_clauses
+    # At a clause edge the computed p can round to 1; only that clause may
+    # then refuse the set.
+    assert rep.accepted or rep.violated_clauses == (P_CLAUSE,), \
+        rep.violated_clauses
     grid = np.linspace(1e-5, 1 - 1e-5, 2001)
     c = cst.eval_coeffs(grid, params)
     assert np.all(c.pc_prime <= c.tau_over_a)
-    assert rep.p > 1.0 and 1.0 < rep.q < 2.0
+    if rep.accepted:
+        assert rep.p > 1.0 and 1.0 < rep.q < 2.0
 
 
 @settings(max_examples=50, deadline=None)

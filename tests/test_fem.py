@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from capmix import constitutive as cst
 from capmix import entropy as ent
@@ -31,6 +32,23 @@ def test_build_mesh_basic():
 def test_build_mesh_validation(bad):
     with pytest.raises(ArgumentError):
         fem.build_mesh(*bad)
+
+
+def test_mesh_arrays_are_cached_read_only():
+    nodes = np.linspace(0.0, 1.0, 5)
+    mesh = fem.Mesh(nodes)
+    nodes[1] = 0.9  # the mesh holds its own copy
+    assert mesh.nodes[1] == 0.25
+    assert mesh.widths is mesh.widths
+    assert mesh.lumped_masses is mesh.lumped_masses
+    for arr in (mesh.nodes, mesh.widths, mesh.lumped_masses):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    masses = fem.lumped_mass(mesh)
+    assert masses is not mesh.lumped_masses
+    assert np.array_equal(masses, mesh.lumped_masses)
+    masses[0] = 7.0  # a writable copy
+    assert mesh.lumped_masses[0] == 0.125
 
 
 def test_lumped_mass_partitions_length():
@@ -138,19 +156,48 @@ def test_assembled_system_shape_and_symmetry(num_cells, params, spec):
     assert np.linalg.eigvalsh(dense).min() > 0.0
 
 
+def _bsr_operator(system):
+    """The operator rebuilt as BSR (n, n) node blocks from its own dense
+    blocks: -stiff, diagonal, -stiff on block row p, outer blocks dropped
+    on the first and last rows."""
+    n, ni = system.n_species, system.num_interior
+    dense = system.matrix.toarray()
+    cols = np.arange(ni)[:, None] + np.array([-1, 0, 1])
+    blocks = np.zeros((ni, 3, n, n))
+    for p in range(ni):
+        for b, q in enumerate(cols[p]):
+            if 0 <= q < ni:
+                blocks[p, b] = dense[p * n:(p + 1) * n, q * n:(q + 1) * n]
+    indptr = np.clip(3 * np.arange(ni + 1) - 1, 0, 3 * ni - 2)
+    return sparse.bsr_matrix(
+        (blocks.reshape(3 * ni, n, n)[1:-1], cols.ravel()[1:-1], indptr),
+        shape=dense.shape)
+
+
 @ASSEMBLED_CASES
-def test_transposed_csr_is_the_csc_operator(num_cells, params, spec):
-    # solve_linear factorises mat.tocsr().T: by bitwise symmetry it must be
-    # the CSC form itself, handed to splu without a format conversion.
+def test_assembled_csc_arrays_are_the_block_operator(num_cells, params, spec):
+    # The operator is gathered straight into CSC.  Being bitwise symmetric,
+    # its CSC arrays must be the CSR arrays of the block matrix, explicit
+    # zeros included, and splu must take it without a format conversion.
     _, system = _assembled_case(num_cells, params, spec)
-    csc = system.matrix.tocsc()
-    transposed = system.matrix.tocsr().T
-    assert transposed.format == "csc"
+    mat = system.matrix
+    assert mat.format == "csc"
+    csr = _bsr_operator(system).tocsr()
     for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(transposed, name), getattr(csc, name))
+        assert np.array_equal(getattr(mat, name), getattr(csr, name)), name
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solver.solve_linear(system)
+
+
+def test_operator_pattern_is_shared_and_read_only():
+    _, first = _assembled_case(16, P0, SPEC)
+    _, second = _assembled_case(16, P0, SPEC)
+    for name in ("indices", "indptr"):
+        assert np.shares_memory(getattr(first.matrix, name),
+                                getattr(second.matrix, name))
+    with pytest.raises(ValueError):
+        first.matrix.indices[0] = 1
 
 
 def test_assembled_load_scales_linearly_in_sigma():
@@ -226,3 +273,17 @@ def test_assembly_recovers_all_points_in_one_call(monkeypatch):
     monkeypatch.setattr(ent, "_state_from_w_many", counted)
     fem.assemble_system(w, s_prev, P0, SPEC, 1.0, grad_beta)
     assert calls == [2 * mesh.num_cells + mesh.num_nodes]
+
+
+def test_flux_point_coefficients_are_the_full_evaluation_split():
+    # With flux_points = k every entry covers the first k points, bitwise as
+    # the full evaluation gives them, and node_mobility the remaining ones.
+    rng = np.random.default_rng(9)
+    s = rng.uniform(0.05, 0.25, size=(7, 3))
+    total = s.sum(axis=1)
+    full = fem._point_coefficients(s, total, P0, SPEC_WEIGHTED)
+    split = fem._point_coefficients(s, total, P0, SPEC_WEIGHTED, flux_points=4)
+    assert set(split) == set(full) | {"node_mobility"}
+    for key, value in full.items():
+        assert np.array_equal(split[key], value[:4]), key
+    assert np.array_equal(split["node_mobility"], full["mobility"][4:])

@@ -3,6 +3,7 @@ problem materialization, and the on-disk output contract."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,3 +225,39 @@ def test_write_outputs_filesystem_error(tmp_path):
     traj = solver.run_simulation(initial, params, spec, solver_cfg)
     with pytest.raises(OutputError):
         runio.write_outputs(traj, cfg, blocker)
+
+
+def test_reference_demo_outputs_are_byte_stable(tmp_path):
+    # The problem of demos/03_reference_run.py.  Its committed outputs pin
+    # every byte of a run, so a change to the numerics that moves any bit of
+    # the reference run shows here, not only in a regenerated demo.
+    demo_out = Path(__file__).resolve().parents[1] / "demos" / "out_reference"
+    params = cst.default_params()
+    mesh = fem.build_mesh(64, 0.0, 1.0)
+    initial = solver.sine_perturbation_initial(mesh, params, amplitude=0.1,
+                                               species_index=0)
+    cfg = solver.SolverConfig(t_end=0.05)
+    traj = solver.run_simulation(initial, params, ent.DiffusionMatrixSpec(),
+                                 cfg)
+    config = runio.RunConfig(params=params, solver=cfg,
+                             initial_profile="sine_perturbation",
+                             initial_args={"amplitude": 0.1,
+                                           "species_index": 0})
+    runio.write_outputs(traj, config, tmp_path)
+    for name in ("diagnostics.csv", "snapshots.csv"):
+        assert (tmp_path / name).read_bytes() == \
+            (demo_out / name).read_bytes(), name
+    # The manifest also records the output directory and the library
+    # versions, which say where and with what the run was made, not what
+    # it computed: compare everything else, rendered as the writer does.
+    assert _computed_manifest(tmp_path / "manifest.json") == \
+        _computed_manifest(demo_out / "manifest.json")
+
+
+def _computed_manifest(path):
+    manifest = json.loads(path.read_text())
+    del manifest["versions"]
+    manifest["config"] = "".join(
+        line for line in manifest["config"].splitlines(keepends=True)
+        if not line.startswith("directory = "))
+    return json.dumps(manifest, indent=2, sort_keys=True)

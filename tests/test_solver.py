@@ -2,6 +2,8 @@
 composition, Lyapunov monotonicity on a perturbed run, trajectory recording,
 initial-profile builders, and the refinement-study report."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -10,7 +12,8 @@ from capmix import constitutive as cst
 from capmix import entropy as ent
 from capmix import fem
 from capmix import solver
-from capmix.errors import ArgumentError, LinearSolveError, PreconditionError
+from capmix.errors import (ArgumentError, FixedPointError, LinearSolveError,
+                           PreconditionError)
 
 P0 = cst.default_params()
 SPEC = ent.DiffusionMatrixSpec()
@@ -84,6 +87,34 @@ def test_solve_linear_refuses_an_unreachable_residual(monkeypatch):
         solver.solve_linear(_assembled(), linear_tol=1e-20)
     # One solve and all three refinement steps ran before the refusal.
     assert len(solves) == 4
+
+
+def test_solve_linear_defaults_to_the_run_tolerance():
+    # Called without a tolerance, solve_linear asks for the run's residual
+    # and meets it on an ordinary 64-cell system.
+    default = inspect.signature(solver.solve_linear).parameters["linear_tol"]
+    assert default.default == solver.SolverConfig().linear_tol
+    mesh = fem.build_mesh(64)
+    s_prev = solver.sine_perturbation_initial(mesh, P0, amplitude=0.05)
+    rng = np.random.default_rng(5)
+    w = fem.NodalField(0.05 * rng.standard_normal((mesh.num_nodes, 3)), mesh)
+    system = fem.assemble_system(w, s_prev, P0, SPEC, 1.0,
+                                 fem.beta_gradient_field(s_prev, P0))
+    x = solver.solve_linear(system)
+    resid = np.linalg.norm(system.matrix @ x - system.rhs)
+    assert resid <= 1e-10 * np.linalg.norm(system.rhs)
+
+
+def test_run_errors_name_their_step():
+    mesh = fem.build_mesh(16)
+    init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
+    cfg = solver.SolverConfig(t_end=0.005, fp_max_iters=1)
+    with pytest.raises(FixedPointError) as info:
+        solver.run_simulation(init, P0, SPEC, cfg)
+    message = str(info.value)
+    assert message.startswith("step 1 (t = 0.001): fixed-point iteration "
+                              "failed"), message
+    assert type(info.value.__cause__) is FixedPointError
 
 
 def test_equilibrium_step_is_bitwise_stationary():
