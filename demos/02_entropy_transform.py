@@ -25,16 +25,17 @@ def main():
     print(f"  relative free energy vs boundary composition = {rel:.12g}")
 
     print("\nforward transform at previous total 0.45:")
-    ev = ent.w_from_state(state, 0.45, params)
-    print(f"  w    = {np.array2string(ev.w, precision=8)}")
-    print(f"  f(S) = {ev.f_value:.10g}")
+    prev = np.asarray([0.45])
+    w, ds_dw, f_value = ent.w_from_states(state.s[None, :], prev, params)
+    print(f"  w    = {np.array2string(w[0], precision=8)}")
+    print(f"  f(S) = {f_value[0]:.10g}")
 
-    ev_back, state_back = ent.state_from_w(ev.w, 0.45, params)
-    err = np.max(np.abs(state_back.s - state.s))
+    s_back, _, _, _ = ent.states_from_w(w, prev, params)
+    err = np.max(np.abs(s_back[0] - state.s))
     print(f"  inverse transform recovers S with max error {err:.3e}")
 
     print("\nmobility matrix M_ij = S_i * dS/dw_j at this state:")
-    mob = np.outer(state.s, ev.ds_dw)
+    mob = np.outer(state.s, ds_dw[0])
     print(np.array2string(mob, precision=6))
     eigs = np.linalg.eigvalsh(0.5 * (mob + mob.T))
     print(f"  symmetric: max|M - M^T| = {np.max(np.abs(mob - mob.T)):.3e}")

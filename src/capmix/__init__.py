@@ -26,8 +26,6 @@ from .constitutive import (
     AssumptionReport,
     CoefficientValues,
     ModelParams,
-    beta_inverse,
-    beta_value,
     default_params,
     entropy_E,
     eval_coeffs,
@@ -36,10 +34,8 @@ from .constitutive import (
 )
 from .entropy import (
     DiffusionMatrixSpec,
-    EntropyVars,
     SpeciesState,
     chem_potentials,
-    diffusion_matrix,
     free_energy,
     hypocoercivity_constants,
     jmz_inequality_check,
@@ -47,9 +43,7 @@ from .entropy import (
     project_orthogonal,
     relative_free_energy,
     species_from_relative,
-    state_from_w,
     states_from_w,
-    w_from_state,
     w_from_states,
 )
 from .fem import (
@@ -103,14 +97,11 @@ __all__ = [
     "AssumptionReport",
     "default_params",
     "eval_coeffs",
-    "beta_value",
-    "beta_inverse",
     "f0_integral",
     "entropy_E",
     "validate_assumptions",
     # entropy
     "SpeciesState",
-    "EntropyVars",
     "DiffusionMatrixSpec",
     "make_state",
     "free_energy",
@@ -118,11 +109,8 @@ __all__ = [
     "relative_free_energy",
     "project_orthogonal",
     "species_from_relative",
-    "w_from_state",
-    "state_from_w",
     "w_from_states",
     "states_from_w",
-    "diffusion_matrix",
     "hypocoercivity_constants",
     "jmz_inequality_check",
     # fem

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, QuadratureError, RangeError, RootFindError
+from .errors import ArgumentError, DomainError
 
 __all__ = [
     "ModelParams",
@@ -45,8 +45,6 @@ __all__ = [
     "AssumptionReport",
     "default_params",
     "eval_coeffs",
-    "beta_value",
-    "beta_inverse",
     "f0_integral",
     "entropy_E",
     "validate_assumptions",
@@ -57,7 +55,7 @@ __all__ = [
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: species count, coefficient exponents, boundary state,
-    time step, regularisation strength and numerical tolerances.
+    time step, regularisation strength and the root-find tolerance.
 
     ``s_gamma`` is the constant boundary composition (one positive entry per
     species, summing to less than 1).  ``lam`` is the wetting-side exponent
@@ -73,7 +71,6 @@ class ModelParams:
     s_gamma: tuple = (0.15, 0.15, 0.15)
     kappa: float = 1e-3
     eps: float = 1e-3
-    quadrature_tol: float = 1e-10
     rootfind_tol: float = 1e-12
 
     def __post_init__(self):
@@ -93,8 +90,8 @@ class ModelParams:
             raise ArgumentError("kappa must be positive")
         if self.eps < 0:
             raise ArgumentError("eps must be non-negative")
-        if not (self.quadrature_tol > 0 and self.rootfind_tol > 0):
-            raise ArgumentError("tolerances must be positive")
+        if not self.rootfind_tol > 0:
+            raise ArgumentError("rootfind_tol must be positive")
 
     @property
     def total_gamma(self):
@@ -334,57 +331,6 @@ def _beta_hat_prime(arr, p: ModelParams):
     ``_beta_table``."""
     _, dc, knots, _ = _beta_table(p.lam, p.gamma, p.gamma1)
     return _eval_table(dc, knots, arr)
-
-
-def beta_value(s, params: ModelParams) -> float:
-    """beta(s) = integral of tau from 1/2 to s, by adaptive quadrature.
-
-    Accepts s in the closed interval [0,1] (tau is bounded, so beta extends
-    continuously to the endpoints).  Raises QuadratureError if the integrator
-    cannot certify params.quadrature_tol.
-    """
-    sf = float(s)
-    if not (0.0 <= sf <= 1.0) or not math.isfinite(sf):
-        raise DomainError(f"beta_value requires s in [0,1]; got {s!r}")
-    if sf == 0.5:
-        return 0.0
-    from scipy import integrate  # only this reference path needs quadrature
-
-    tol = params.quadrature_tol
-    val, abserr, info = integrate.quad(
-        lambda t: float(_tau(np.asarray(t), params)),
-        0.5, sf, epsabs=tol, epsrel=tol, limit=200, full_output=True,
-    )[:3]
-    if abserr > 10.0 * max(tol, tol * abs(val)):
-        raise QuadratureError(
-            f"beta quadrature reached error estimate {abserr:.3e} "
-            f"(requested {tol:.1e})")
-    return float(val)
-
-
-def beta_inverse(b, params: ModelParams) -> float:
-    """Inverse of beta_value by safeguarded bracketing on [0,1].
-
-    Raises RangeError when b lies outside [beta(0), beta(1)] and
-    RootFindError if the residual tolerance cannot be met.
-    """
-    from scipy import optimize  # only this reference path needs brentq
-
-    bf = float(b)
-    lo_val = beta_value(0.0, params)
-    hi_val = beta_value(1.0, params)
-    if not (lo_val <= bf <= hi_val):
-        raise RangeError(
-            f"value {bf!r} outside the attainable range [{lo_val!r}, {hi_val!r}] of beta")
-    tol = params.rootfind_tol
-    root = optimize.brentq(
-        lambda t: beta_value(t, params) - bf, 0.0, 1.0,
-        xtol=min(tol, 1e-13), rtol=8.9e-16, maxiter=200)
-    resid = abs(beta_value(root, params) - bf)
-    if resid > tol:
-        raise RootFindError(
-            f"beta inversion residual {resid:.3e} exceeds tolerance {tol:.1e}")
-    return float(root)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .errors import ArgumentError, DomainError, RootFindError
 
 __all__ = [
     "SpeciesState",
-    "EntropyVars",
     "DiffusionMatrixSpec",
     "make_state",
     "free_energy",
@@ -49,11 +48,8 @@ __all__ = [
     "relative_free_energy",
     "project_orthogonal",
     "species_from_relative",
-    "w_from_state",
-    "state_from_w",
     "w_from_states",
     "states_from_w",
-    "diffusion_matrix",
     "hypocoercivity_constants",
     "jmz_inequality_check",
 ]
@@ -87,20 +83,6 @@ def make_state(s) -> SpeciesState:
     """Build a SpeciesState from a component vector, computing the total."""
     arr = np.asarray(s, dtype=float)
     return SpeciesState(arr, float(arr.sum()))
-
-
-@dataclass(frozen=True, eq=False)
-class EntropyVars:
-    """Entropy variables at one point plus the transform's derivative data.
-
-    ``ds_dw`` holds dS/dw_j of the total; the mobility matrix of the
-    linearised operator is M_ij = S_i * ds_dw_j (symmetric, PSD, rank <= 1).
-    ``f_value`` is the scalar f(S) of the inversion relation.
-    """
-
-    w: np.ndarray
-    ds_dw: np.ndarray
-    f_value: float
 
 
 @dataclass(frozen=True)
@@ -197,7 +179,7 @@ def _f_of_total(total, beta_prev, f0_ref, params):
     ``beta_prev`` is the tabulated beta(s_prev) and ``f0_ref`` is f0(S^G);
     both are constant along a root-find, so callers compute them once.  Uses
     the tabulated beta shared by assembly and diagnostics; the transform is
-    exactly self-inverse modulo the root residual because w_from_state
+    exactly self-inverse modulo the root residual because ``_w_many``
     evaluates this same function.  ``total`` must lie in (0, 1).
     """
     return (cst._f0_open(total, params) - f0_ref
@@ -212,7 +194,7 @@ def _ds_dw(s, total, params):
 
 
 def _w_many(s, total, s_prev_total, params):
-    """Vectorised w_from_state on stacked states.
+    """Forward transform on stacked states.
 
     s: (m, n) components, total: (m,), s_prev_total: (m,).
     Returns (w (m,n), ds_dw (m,n), f_value (m,)).
@@ -296,10 +278,10 @@ def _solve_total_many(c, s_prev_total, params, max_iter=100):
 
 
 def _state_from_w_many(w, s_prev_total, params):
-    """Vectorised state_from_w on stacked points.
+    """Inverse transform on stacked points.
 
     w: (m, n), s_prev_total: (m,).  Returns (s (m,n), total (m,),
-    f_value (m,)); the public wrappers add the derivative ds_dw, which
+    f_value (m,)); ``states_from_w`` adds the derivative ds_dw, which
     assembly takes from its own coefficient evaluation instead.
     """
     w = np.asarray(w, dtype=float)
@@ -343,31 +325,28 @@ def _logsumexp_rows(a):
 
 
 def _state_from_w_core(w, prev, log_yg, params):
-    """Softmax fractions plus scalar root-find; no equilibrium special case."""
+    """Softmax fractions plus scalar root-find; no equilibrium special case.
+
+    A row of w spanning more than about 745 underflows a fraction to zero,
+    a state outside the admissible set: it raises DomainError.
+    """
     shifted = w + log_yg[None, :]
     c = _logsumexp_rows(shifted)
     total, f_val = _solve_total_many(c, prev, params)
     frac = np.exp(shifted - c[:, None])
     s = total[:, None] * frac
+    if s.size and not s.min() > 0.0:
+        row = w[~(s > 0.0).all(axis=1)][0]
+        raise DomainError(f"entropy variables {row.tolist()} recover a "
+                          "species that is not positive")
     return s, total, f_val
-
-
-def w_from_state(state: SpeciesState, s_prev_total, params) -> EntropyVars:
-    """Entropy variables at one state given the previous total."""
-    prev = float(s_prev_total)
-    if not 0.0 < prev < 1.0:
-        raise DomainError(f"previous total must lie in (0,1); got {s_prev_total!r}")
-    w, ds_dw, f_val = _w_many(state.s[None, :], np.asarray([state.total]),
-                              np.asarray([prev]), params)
-    return EntropyVars(w[0], ds_dw[0], float(f_val[0]))
 
 
 def w_from_states(s, s_prev_total, params):
     """Vectorised forward transform on stacked states.
 
     s: (m, n) component rows, s_prev_total: (m,) previous totals.  Returns
-    (w (m,n), ds_dw (m,n), f_value (m,)).  This is the batch form of
-    ``w_from_state`` used by assembly and diagnostics.
+    (w (m,n), ds_dw (m,n), f_value (m,)).
     """
     arr = np.asarray(s, dtype=float)
     prev = np.asarray(s_prev_total, dtype=float)
@@ -386,7 +365,8 @@ def states_from_w(w, s_prev_total, params):
 
     w: (m, n) entropy-variable rows, s_prev_total: (m,) previous totals.
     Returns (s (m,n), total (m,), ds_dw (m,n), f_value (m,)); the recovered
-    rows always lie in the admissible set.
+    rows lie in the admissible set; a row whose softmax underflows (entries
+    spanning more than about 745) raises DomainError.
     """
     warr = np.asarray(w, dtype=float)
     prev = np.asarray(s_prev_total, dtype=float)
@@ -398,17 +378,6 @@ def states_from_w(w, s_prev_total, params):
     return s, total, _ds_dw(s, total, params), f_val
 
 
-def state_from_w(w, s_prev_total, params):
-    """Invert the transform at one point; returns (EntropyVars, SpeciesState)."""
-    prev = float(s_prev_total)
-    if not 0.0 < prev < 1.0:
-        raise DomainError(f"previous total must lie in (0,1); got {s_prev_total!r}")
-    warr = np.asarray(w, dtype=float)
-    s, total, f_val = _state_from_w_many(warr[None, :], np.asarray([prev]), params)
-    state = SpeciesState(s[0], float(total[0]))
-    return EntropyVars(warr, _ds_dw(s, total, params)[0], float(f_val[0])), state
-
-
 # ---------------------------------------------------------------------------
 # Diffusion matrices on the complement of span{(1,..,1)}
 # ---------------------------------------------------------------------------
@@ -417,20 +386,10 @@ def _projection_matrix(n):
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
-def diffusion_matrix(state: SpeciesState, spec: DiffusionMatrixSpec) -> np.ndarray:
-    """Symmetric diffusion matrix annihilating constants; its spectrum on the
-    complement of span{(1,..,1)} lies in [d0, d1]."""
-    n = state.n
-    pi = _projection_matrix(n)
-    if spec.kind == "scaled_projection":
-        return spec.d0 * pi
-    wdiag = spec.d0 + (spec.d1 - spec.d0) * state.s
-    m = pi @ np.diag(wdiag) @ pi
-    return 0.5 * (m + m.T)
-
-
 def _diffusion_many(s, spec: DiffusionMatrixSpec):
-    """Stacked diffusion matrices for (m, n) component arrays -> (m, n, n)."""
+    """Stacked diffusion matrices for (m, n) component arrays -> (m, n, n),
+    symmetric, annihilating constants, with spectrum in [d0, d1] on the
+    complement of span{(1,..,1)}."""
     m, n = s.shape
     pi = _projection_matrix(n)
     if spec.kind == "scaled_projection":

@@ -17,20 +17,13 @@ class DomainError(CapmixError, ValueError):
     """State outside the open admissible set (saturations must stay in (0,1))."""
 
 
-class QuadratureError(CapmixError, ArithmeticError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
-class RangeError(CapmixError, ValueError):
-    """Value outside the attainable range of an invertible map."""
-
-
 class RootFindError(CapmixError, ArithmeticError):
     """Scalar root-finding failed to reach tolerance within its budget."""
 
 
 class AssemblyError(CapmixError, ArithmeticError):
-    """A frozen coefficient evaluated to a non-finite value during assembly."""
+    """Assembly at an iterate failed: its state recovery was refused or a
+    frozen coefficient evaluated to a non-finite value."""
 
 
 class LinearSolveError(CapmixError, ArithmeticError):

@@ -381,6 +381,9 @@ def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
     the stiff time-term feedback becomes implicit: without this the
     fixed-point map has a Jacobian of spectral radius well above one at
     practical time steps and plain damped iteration diverges.
+
+    Raises AssemblyError where the state recovery or a frozen coefficient
+    fails at the iterate.
     """
     mesh = w_star.mesh
     if s_prev.mesh is not mesh and not np.array_equal(s_prev.mesh.nodes, mesh.nodes):
@@ -398,8 +401,11 @@ def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
     if grad_beta_prev.shape != (nc, _Q_XI.size):
         raise ArgumentError("grad_beta_prev must be (num_cells, num_q)")
 
-    alpha_q, y_q, hist_q, s_star_nodes, m_nodes = _coefficient_blocks(
-        w_star, s_prev, params, spec)
+    try:
+        alpha_q, y_q, hist_q, s_star_nodes, m_nodes = _coefficient_blocks(
+            w_star, s_prev, params, spec)
+    except DomainError as exc:
+        raise AssemblyError(f"state recovery failed: {exc}") from exc
 
     # Per-cell coefficient matrix: width-weighted quadrature average of
     # M G + D + eps diag(y); the P1 gradients are constant per cell, so only

@@ -183,11 +183,11 @@ def _take(section_entries, schema, section):
 _MODEL_SCHEMA = {
     "n_species": int, "lam": float, "gamma": float, "gamma1": float,
     "beta1": float, "beta2": float, "s_gamma": tuple, "kappa": float,
-    "eps": float, "quadrature_tol": float, "rootfind_tol": float,
+    "eps": float, "rootfind_tol": float,
 }
 _SOLVER_SCHEMA = {
-    "fp_tol": float, "fp_max_iters": int, "damping": float,
-    "homotopy_steps": int, "linear_tol": float, "t_end": float,
+    "fp_tol": float, "fp_max_iters": int, "homotopy_steps": int,
+    "linear_tol": float, "t_end": float,
     "strict_entropy": bool,
 }
 _MESH_SCHEMA = {"num_cells": int, "x_left": float, "x_right": float}

@@ -50,7 +50,7 @@ __all__ = [
 
 _DAMPING_FLOOR = 0.125
 _ANDERSON_WINDOW = 8
-# Conservative default step scale for the accelerated iteration; large moves
+# Conservative step scale the accelerated iteration starts from; large moves
 # through the strongly nonlinear transient otherwise overshoot and lengthen
 # the search phase before local convergence sets in.
 _MIXING_START = 0.25
@@ -70,15 +70,11 @@ class _BudgetExhausted(Exception):
 class SolverConfig:
     """Iteration and run-control knobs.
 
-    damping caps the fixed-point mixing parameter: the iteration starts at
-    min(damping, 0.25) and halves the value (floored at 0.125) whenever an
-    update is rejected.  fp_tol is measured in the lumped L2 norm of the
-    fixed-point defect.
+    fp_tol is measured in the lumped L2 norm of the fixed-point defect.
     """
 
     fp_tol: float = 1e-9
     fp_max_iters: int = 100
-    damping: float = 1.0
     homotopy_steps: int = 4
     linear_tol: float = 1e-10
     t_end: float = 0.05
@@ -90,8 +86,6 @@ class SolverConfig:
             raise ArgumentError("tolerances and t_end must be positive")
         if self.fp_max_iters < 1 or self.homotopy_steps < 1 or self.record_every < 1:
             raise ArgumentError("iteration counts must be at least 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ArgumentError("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -232,42 +226,48 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
     """Two-phase nonlinear solve at fixed sigma: Anderson-accelerated damped
     fixed-point iteration, then a Jacobian-free Newton finisher.
 
-    Returns (w, evals, residual, converged, mixing), with evals the total
-    number of map evaluations.  One application of the map assembles the
-    frozen-coefficient system at the iterate and solves it; the lumped-L2
-    norm of the defect g - w* is both the convergence measure and the
-    residual the acceleration extrapolates on.  With an empty history the
-    update is exactly the plain damped step, so an iterate that already
-    solves its own linearisation (w = 0 at equilibrium) is accepted after a
-    single application with residual exactly zero.  The plain damped map is
-    not a contraction here: the load couples back into the solution through
-    the state-dependent coefficients, and at practical time steps that
-    feedback carries isolated eigenvalues far outside the unit disk.  The
-    least-squares extrapolation removes those few directions while the rest
-    of the spectrum keeps contracting.  On a defect increase or a failed
-    evaluation the history is dropped, the mixing parameter halved (floored),
-    and the best iterate restored.  Whatever iterate the accelerated phase
-    ends on, the Newton finisher runs the remaining evaluation budget down on
-    it; terminal convergence is its job, the accelerated phase only has to
-    reach the basin.
+    Returns (w, evals, residual, converged, mixing, refusals), with evals the
+    total number of map evaluations and refusals the pair (count, last
+    exception) of the evaluations that assembly or the linear solve refused.
+    One application of the map assembles the frozen-coefficient system at the
+    iterate and solves it; the lumped-L2 norm of the defect g - w* is both the
+    convergence measure and the residual the acceleration extrapolates on.
+    With an empty history the update is exactly the plain damped step, so an
+    iterate that already solves its own linearisation (w = 0 at equilibrium)
+    is accepted after a single application with residual exactly zero.  The
+    plain damped map is not a contraction here: the load couples back into the
+    solution through the state-dependent coefficients, and at practical time
+    steps that feedback carries isolated eigenvalues far outside the unit
+    disk.  The least-squares extrapolation removes those few directions while
+    the rest of the spectrum keeps contracting.  On a defect increase or a
+    failed evaluation the history is dropped, the mixing parameter halved
+    (floored), and the best iterate restored.  Whatever iterate the
+    accelerated phase ends on, the Newton finisher runs the remaining
+    evaluation budget down on it; terminal convergence is its job, the
+    accelerated phase only has to reach the basin.
     """
     mesh = s_prev.mesh
     n = params.n_species
     evals = 0
+    refused, last_refusal = 0, None
 
     def apply_map(wvals):
-        nonlocal evals
+        nonlocal evals, refused, last_refusal
         evals += 1
-        system = fem.assemble_system(fem.NodalField(wvals, mesh), s_prev,
-                                     params, spec, sigma,
-                                     grad_beta_prev=grad_beta_prev)
-        solved = solve_linear(system, cfg.linear_tol)
+        try:
+            system = fem.assemble_system(fem.NodalField(wvals, mesh), s_prev,
+                                         params, spec, sigma,
+                                         grad_beta_prev=grad_beta_prev)
+            solved = solve_linear(system, cfg.linear_tol)
+        except (AssemblyError, LinearSolveError) as exc:
+            refused, last_refusal = refused + 1, exc
+            raise
         g = np.zeros_like(wvals)
         g[1:-1] = solved.reshape(-1, n)
         return g
 
     x = w_init.copy()
-    mixing = min(cfg.damping, _MIXING_START)
+    mixing = _MIXING_START
     # Anderson history: the newest (iterate, defect) pair and the columns of
     # differences between consecutive pairs, oldest first, at most a window.
     last_x = last_f = None
@@ -295,7 +295,7 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
         f = g - x
         res = fem._lumped_l2(f, mesh)
         if res <= cfg.fp_tol:
-            return g, evals, res, True, mixing
+            return g, evals, res, True, mixing, (refused, last_refusal)
         if res < best_res:
             best_res, best_x, best_g = res, x.copy(), g.copy()
             rejects = 0
@@ -334,12 +334,12 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
             w, res_p, ok, used = _newton_polish(
                 best_x, best_g, best_res, apply_map, mesh, cfg, polish_budget)
             if ok:
-                return w, evals, res_p, True, mixing
+                return w, evals, res_p, True, mixing, (refused, last_refusal)
             if res_p < best_res:
                 best_x, best_res = w, res_p
     if best_res < res:
-        return best_x, evals, best_res, False, mixing
-    return x, evals, res, False, mixing
+        return best_x, evals, best_res, False, mixing, (refused, last_refusal)
+    return x, evals, res, False, mixing, (refused, last_refusal)
 
 
 def solve_time_step(s_prev: fem.NodalField, params, spec,
@@ -361,7 +361,7 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
     if grad_beta_prev is None:
         grad_beta_prev = fem.beta_gradient_field(s_prev, params)
     w_zero = np.zeros((mesh.num_nodes, n))
-    w, iters, res, ok, mixing = _fixed_point(
+    w, iters, res, ok, mixing, (refused, last_refusal) = _fixed_point(
         s_prev, params, spec, solver_cfg, 1.0,
         w_zero if w_start is None else w_start, grad_beta_prev)
     total_iters = iters
@@ -372,16 +372,22 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
         sigmas = np.linspace(1.0 / solver_cfg.homotopy_steps, 1.0,
                              solver_cfg.homotopy_steps)
         for sigma in sigmas:
-            w, iters, res, ok, mixing = _fixed_point(
+            w, iters, res, ok, mixing, refusals = _fixed_point(
                 s_prev, params, spec, solver_cfg, float(sigma), w,
                 grad_beta_prev)
             total_iters += iters
+            refused += refusals[0]
+            last_refusal = refusals[1] or last_refusal
             if not ok:
                 break
         if not ok:
-            raise FixedPointError(
+            message = (
                 f"fixed-point iteration failed (last sigma {sigma:.3f}, "
                 f"residual {res:.3e} > fp_tol {solver_cfg.fp_tol:.1e})")
+            if refused:
+                message += (f"; {refused} trial evaluations refused, last: "
+                            f"{last_refusal}")
+            raise FixedPointError(message) from last_refusal
     s_new, _ = fem._recover_points(w, s_prev.totals, params)
     new_state = fem.NodalField(s_new, mesh)
     stats = StepStats(iterations=total_iters, residual=float(res),

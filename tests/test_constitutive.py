@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from capmix import constitutive as cst
-from capmix.errors import ArgumentError, DomainError, RangeError
+from capmix.errors import ArgumentError, DomainError
 
 P0 = cst.default_params()
 SECONDARY = cst.ModelParams(lam=7.5, gamma=6.3, gamma1=6.2, beta1=5.8,
@@ -112,24 +112,15 @@ def test_f0_strictly_increasing():
 
 
 def test_beta_against_oracle():
+    # The tabulated beta that transforms, assembly and diagnostics use, on
+    # the closed interval.  Only s = 0 gets a looser pin: the first panel's
+    # 7-point Gauss rule integrates tau ~ s^(gamma - gamma1) = s^0.2, which
+    # is not smooth at 0, to about 3e-8; every other panel is exact to
+    # rounding.
     for s, want in BETA_ORACLE_P0.items():
-        got = cst.beta_value(s, P0)
-        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-
-
-def test_beta_inverse_round_trip():
-    for s in (0.05, 0.3, 0.5, 0.7, 0.95):
-        b = cst.beta_value(s, P0)
-        assert abs(cst.beta_inverse(b, P0) - s) <= 1e-9
-
-
-def test_beta_inverse_range_error():
-    hi = cst.beta_value(1.0, P0)
-    with pytest.raises(RangeError):
-        cst.beta_inverse(hi + 1.0, P0)
-    lo = cst.beta_value(0.0, P0)
-    with pytest.raises(RangeError):
-        cst.beta_inverse(lo - 1.0, P0)
+        got = float(cst._beta_hat(np.asarray(s), P0))
+        tol = 1e-7 if s == 0.0 else 1e-13
+        assert abs(got - want) <= tol * max(1.0, abs(want)), (s, got, want)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.25, 1.75, math.nan, math.inf])
@@ -197,14 +188,6 @@ def test_pchip_coefficients_match_scipy(params):
         assert cst._pchip_coefficients(x, y)[2, 0] == left
         _assert_pchip_matches_scipy(x, y)
         _assert_pchip_matches_scipy(x, -y[::-1])
-
-
-def test_beta_accepts_closed_interval():
-    assert cst.beta_value(0.0, P0) < 0.0 < cst.beta_value(1.0, P0)
-    with pytest.raises(DomainError):
-        cst.beta_value(-1e-9, P0)
-    with pytest.raises(DomainError):
-        cst.beta_value(1.0 + 1e-9, P0)
 
 
 def test_validate_reference_parameters():

@@ -129,10 +129,10 @@ def test_species_from_relative_recovers_state():
 
 
 def test_boundary_state_maps_to_zero_exactly():
-    state = ent.make_state(P0.s_gamma)
-    ev = ent.w_from_state(state, state.total, P0)
-    assert np.array_equal(ev.w, np.zeros(3))
-    assert ev.f_value == 0.0
+    sg = np.asarray(P0.s_gamma)
+    w, _, f_val = ent.w_from_states(sg[None, :], sg.sum(keepdims=True), P0)
+    assert np.array_equal(w, np.zeros((1, 3)))
+    assert np.array_equal(f_val, np.zeros(1))
 
 
 def test_zero_w_snaps_to_boundary_bitwise():
@@ -142,15 +142,6 @@ def test_zero_w_snaps_to_boundary_bitwise():
     assert np.array_equal(s, np.tile(sg, (4, 1)))
     assert np.array_equal(total, np.full(4, sg.sum()))
     assert np.array_equal(f_val, np.zeros(4))
-
-
-def test_round_trip_scalar_interface():
-    state = ent.make_state(ORACLE_STATE)
-    ev = ent.w_from_state(state, 0.5, P0)
-    ev2, rec = ent.state_from_w(ev.w, 0.5, P0)
-    assert np.max(np.abs(rec.s - state.s)) <= 1e-10
-    assert abs(rec.total - state.total) <= 1e-10
-    assert np.array_equal(ev2.w, ev.w)
 
 
 def test_round_trip_batch():
@@ -169,18 +160,6 @@ def test_round_trip_batch():
     assert np.max(np.abs(ds_dw2 - ds_dw)) <= 1e-8
 
 
-def test_batch_matches_scalar_interface():
-    rng = np.random.default_rng(17)
-    s = _random_states(rng, 5)
-    prev = rng.uniform(0.1, 0.9, size=5)
-    w_b, ds_b, f_b = ent.w_from_states(s, prev, P0)
-    for k in range(5):
-        ev = ent.w_from_state(ent.make_state(s[k]), prev[k], P0)
-        assert np.array_equal(ev.w, w_b[k])
-        assert np.array_equal(ev.ds_dw, ds_b[k])
-        assert ev.f_value == f_b[k]
-
-
 def test_batch_interface_validation():
     with pytest.raises(ArgumentError):
         ent.w_from_states(np.zeros((3, 2)), np.zeros(2), P0)
@@ -188,6 +167,22 @@ def test_batch_interface_validation():
         ent.w_from_states(np.full((2, 3), 0.4), np.full(2, 0.5), P0)
     with pytest.raises(DomainError):
         ent.states_from_w(np.zeros((2, 3)), np.array([0.5, 1.5]), P0)
+    state = np.asarray([ORACLE_STATE])
+    for bad in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            ent.w_from_states(state, np.array([bad]), P0)
+        with pytest.raises(DomainError):
+            ent.states_from_w(np.zeros((1, 3)), np.array([bad]), P0)
+
+
+def test_recovery_refuses_an_underflowing_species():
+    # A row spanning more than about 745 underflows the softmax: species 2
+    # would come back exactly 0, outside the admissible set.
+    w = np.array([[0.0, -800.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(DomainError):
+        ent.states_from_w(w, np.array([0.45, 0.45]), P0)
+    with pytest.raises(DomainError):
+        ent._state_from_w_many(w, np.array([0.45, 0.45]), P0)
 
 
 def test_inversion_far_from_previous_total():
@@ -199,11 +194,18 @@ def test_inversion_far_from_previous_total():
     scales = 10.0 ** rng.uniform(0.0, math.log10(3000.0), size=(m, 1))
     w = scales * rng.standard_normal((m, 3))
     prev = rng.uniform(0.01, 0.99, size=m)
-    _, total, _, f_val = ent.states_from_w(w, prev, P0)
-    assert np.all((total > 0.0) & (total < 1.0))
     log_yg = np.log(np.asarray(P0.s_gamma) / P0.total_gamma)
     c = logsumexp(w + log_yg, axis=1)
+    total, f_val = ent._solve_total_many(c, prev, P0)
+    assert np.all((total > 0.0) & (total < 1.0))
     assert np.all(np.abs(f_val - c) <= P0.rootfind_tol * (1.0 + np.abs(c)))
+    # The public inverse runs the same root-find.  Rows spanning more than
+    # about 745 underflow a species and are refused (see
+    # test_recovery_refuses_an_underflowing_species), so it takes the rest.
+    kept = np.ptp(w + log_yg, axis=1) < 700.0
+    s, total_kept, _, _ = ent.states_from_w(w[kept], prev[kept], P0)
+    assert np.array_equal(total_kept, total[kept])
+    assert np.all(s > 0.0)
 
 
 def test_row_logsumexp_matches_scipy_bitwise():
@@ -238,11 +240,11 @@ def test_round_trip_property(raw, total, prev):
 
 def test_mobility_matrix_structure():
     rng = np.random.default_rng(18)
-    for s in _random_states(rng, 300):
-        state = ent.make_state(s)
-        prev = rng.uniform(0.05, 0.95)
-        ev = ent.w_from_state(state, prev, P0)
-        m = np.outer(state.s, ev.ds_dw)
+    states = _random_states(rng, 300)
+    prev = rng.uniform(0.05, 0.95, size=300)
+    _, ds_dw, _ = ent.w_from_states(states, prev, P0)
+    for s, d in zip(states, ds_dw):
+        m = np.outer(s, d)
         assert np.max(np.abs(m - m.T)) <= 1e-12
         eig = np.linalg.eigvalsh(0.5 * (m + m.T))
         assert eig.min() >= -1e-12
@@ -252,8 +254,7 @@ def test_mobility_matrix_structure():
 
 def test_diffusion_matrix_scaled_projection():
     spec = ent.DiffusionMatrixSpec(kind="scaled_projection", d0=0.7, d1=0.7)
-    state = ent.make_state(ORACLE_STATE)
-    d = ent.diffusion_matrix(state, spec)
+    d = ent._diffusion_many(np.asarray([ORACLE_STATE]), spec)[0]
     assert np.allclose(d, d.T, atol=1e-15)
     assert np.allclose(d @ np.ones(3), 0.0, atol=1e-15)
     lo, hi = ent.hypocoercivity_constants(d)
@@ -264,9 +265,7 @@ def test_diffusion_matrix_scaled_projection():
 def test_diffusion_matrix_state_weighted_sandwich():
     spec = ent.DiffusionMatrixSpec(kind="state_weighted", d0=0.5, d1=2.0)
     rng = np.random.default_rng(19)
-    for s in _random_states(rng, 100):
-        state = ent.make_state(s)
-        d = ent.diffusion_matrix(state, spec)
+    for d in ent._diffusion_many(_random_states(rng, 100), spec):
         assert np.allclose(d, d.T, atol=1e-14)
         assert np.allclose(d @ np.ones(3), 0.0, atol=1e-14)
         lo, hi = ent.hypocoercivity_constants(d)
@@ -308,11 +307,3 @@ def test_jmz_requires_unit_vectors():
     with pytest.raises(ArgumentError):
         ent.jmz_inequality_check(np.array([1.0, 1.0]), np.array([1.0, 0.0]),
                                  np.array([1.0, 2.0]))
-
-
-def test_w_from_state_rejects_bad_previous_total():
-    state = ent.make_state(ORACLE_STATE)
-    with pytest.raises(DomainError):
-        ent.w_from_state(state, 0.0, P0)
-    with pytest.raises(DomainError):
-        ent.state_from_w(np.zeros(3), 1.0, P0)

@@ -11,7 +11,7 @@ from capmix import constitutive as cst
 from capmix import entropy as ent
 from capmix import fem
 from capmix import solver
-from capmix.errors import ArgumentError, DomainError
+from capmix.errors import ArgumentError, AssemblyError, DomainError
 
 P0 = cst.default_params()
 SPEC = ent.DiffusionMatrixSpec()
@@ -243,6 +243,18 @@ def test_assemble_validates_inputs():
     s_other = fem.constant_field(other, P0)
     with pytest.raises(ArgumentError):
         fem.assemble_system(w0, s_other, P0, SPEC, 1.0)
+
+
+def test_assembly_refuses_an_iterate_it_cannot_recover():
+    # One interior node spanning 800 underflows a species in the recovery;
+    # the solver treats the AssemblyError as a refused trial iterate.
+    mesh, s_prev, grad_beta = _sine_setup()
+    values = np.zeros((mesh.num_nodes, 3))
+    values[3, 1] = -800.0
+    w = fem.NodalField(values, mesh)
+    with pytest.raises(AssemblyError) as info:
+        fem.assemble_system(w, s_prev, P0, SPEC, 1.0, grad_beta)
+    assert isinstance(info.value.__cause__, DomainError)
 
 
 def test_positive_semidefinite_without_regularisation():

@@ -78,6 +78,9 @@ def test_full_document_parses():
     ("[solver]\nstrict_entropy = maybe", "not a valid bool"),
     ("[model]\n= 3", "line 2: empty key"),
     ("[model]\nviscosity = 1", "unknown key 'viscosity' in [model]"),
+    ("[model]\nkappa = 1e-3\nquadrature_tol = 1e-10",
+     "line 3: unknown key 'quadrature_tol' in [model]"),
+    ("[solver]\ndamping = 1.0", "line 2: unknown key 'damping' in [solver]"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ConfigParseError) as err:

@@ -117,6 +117,24 @@ def test_run_errors_name_their_step():
     assert type(info.value.__cause__) is FixedPointError
 
 
+def test_failed_step_names_its_refused_linear_solves():
+    # The reference problem at 384 cells fails step 1: its linear solves
+    # miss linear_tol by a rounding-level margin, the trials are refused and
+    # the ladder stalls at sigma 0.25.  The error alone must say so.
+    mesh = fem.build_mesh(384)
+    init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
+    with pytest.raises(FixedPointError) as info:
+        solver.run_simulation(init, P0, SPEC, solver.SolverConfig(t_end=2e-3))
+    message = str(info.value)
+    assert message.startswith("step 1 (t = 0.001): fixed-point iteration "
+                              "failed (last sigma 0.250"), message
+    assert "trial evaluations refused, last: linear solve residual" in message
+    assert "exceeds 1.0e-10 * ||rhs||" in message
+    refusal = info.value.__cause__.__cause__
+    assert type(refusal) is LinearSolveError
+    assert str(refusal) in message
+
+
 def test_equilibrium_step_is_bitwise_stationary():
     mesh = fem.build_mesh(32)
     eq = solver.equilibrium_initial(mesh, P0)
