@@ -23,6 +23,11 @@ through the same helper, so the round-trip error is set by that residual
 target (and the rounding of the stored sum log(S_i/S) + f(S)), not by any
 quadrature error.
 
+The public batch transforms ``w_from_states`` and ``states_from_w`` validate
+the whole batch, then walk it in blocks of ``_BLOCK_ROWS`` rows, so a batch
+needs memory for its outputs plus one block's temporaries.  Every row is
+computed on its own, so the blocking changes no bit of any result.
+
 Cross-diffusion matrices act on the complement of span{(1,..,1)}: the package
 ships the scaled projection d0*Pi and a state-weighted Pi W(S) Pi family, both
 sandwiched between d0 and d1 on that complement.
@@ -159,6 +164,12 @@ def species_from_relative(total, mu_star) -> SpeciesState:
 # ---------------------------------------------------------------------------
 # Entropy-variable transform
 # ---------------------------------------------------------------------------
+
+# Rows per block of the public batch transforms.  A block's temporaries (the
+# root-find keeps about ten arrays per unconverged point) then stay in cache
+# and the peak memory of a batch is its outputs plus one block's working set;
+# much smaller blocks pay per-call overhead, much larger ones miss the cache.
+_BLOCK_ROWS = 8192
 
 @lru_cache(maxsize=32)
 def _f_scalar_terms(params):
@@ -342,11 +353,32 @@ def _state_from_w_core(w, prev, log_yg, params):
     return s, total, f_val
 
 
+def _by_blocks(block, *rows):
+    """Apply ``block`` to consecutive slices of ``_BLOCK_ROWS`` rows of the
+    arrays ``rows`` (which share their first axis) and gather the arrays it
+    returns, row for row, into outputs of the full length.  A batch of one
+    block returns that block's arrays."""
+    m = rows[0].shape[0]
+    if m <= _BLOCK_ROWS:
+        return block(*rows)
+    out = None
+    for start in range(0, m, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        part = block(*(a[start:stop] for a in rows))
+        if out is None:
+            out = tuple(np.empty((m,) + p.shape[1:]) for p in part)
+        for o, p in zip(out, part):
+            o[start:stop] = p
+    return out
+
+
 def w_from_states(s, s_prev_total, params):
     """Vectorised forward transform on stacked states.
 
     s: (m, n) component rows, s_prev_total: (m,) previous totals.  Returns
-    (w (m,n), ds_dw (m,n), f_value (m,)).
+    (w (m,n), ds_dw (m,n), f_value (m,)).  The whole batch is validated,
+    then transformed in blocks of ``_BLOCK_ROWS`` rows; every row is
+    computed on its own, so the result does not depend on the blocking.
     """
     arr = np.asarray(s, dtype=float)
     prev = np.asarray(s_prev_total, dtype=float)
@@ -357,7 +389,8 @@ def w_from_states(s, s_prev_total, params):
         raise DomainError("states outside the admissible set (need S_i > 0, sum < 1)")
     if not (np.all(prev > 0.0) and np.all(prev < 1.0)):
         raise DomainError("previous totals must lie in (0,1)")
-    return _w_many(arr, totals, prev, params)
+    return _by_blocks(lambda s_b, t_b, p_b: _w_many(s_b, t_b, p_b, params),
+                      arr, totals, prev)
 
 
 def states_from_w(w, s_prev_total, params):
@@ -366,7 +399,11 @@ def states_from_w(w, s_prev_total, params):
     w: (m, n) entropy-variable rows, s_prev_total: (m,) previous totals.
     Returns (s (m,n), total (m,), ds_dw (m,n), f_value (m,)); the recovered
     rows lie in the admissible set; a row whose softmax underflows (entries
-    spanning more than about 745) raises DomainError.
+    spanning more than about 745) raises DomainError.  The previous totals
+    are validated on the whole batch, then the rows are recovered in blocks
+    of ``_BLOCK_ROWS``; every row is computed on its own, so the result does
+    not depend on the blocking, and a RootFindError reports the worst
+    residual of the block that failed.
     """
     warr = np.asarray(w, dtype=float)
     prev = np.asarray(s_prev_total, dtype=float)
@@ -374,8 +411,12 @@ def states_from_w(w, s_prev_total, params):
         raise ArgumentError("need w of shape (m, n) and matching previous totals")
     if not (np.all(prev > 0.0) and np.all(prev < 1.0)):
         raise DomainError("previous totals must lie in (0,1)")
-    s, total, f_val = _state_from_w_many(warr, prev, params)
-    return s, total, _ds_dw(s, total, params), f_val
+
+    def block(w_b, prev_b):
+        s, total, f_val = _state_from_w_many(w_b, prev_b, params)
+        return s, total, _ds_dw(s, total, params), f_val
+
+    return _by_blocks(block, warr, prev)
 
 
 # ---------------------------------------------------------------------------

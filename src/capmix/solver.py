@@ -96,7 +96,6 @@ class StepStats:
     iterations: int
     residual: float
     used_homotopy: bool
-    damping_final: float
     w: np.ndarray = field(default=None, compare=False, repr=False)
 
 
@@ -228,23 +227,24 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
 
     Returns (w, evals, residual, converged, mixing, refusals), with evals the
     total number of map evaluations and refusals the pair (count, last
-    exception) of the evaluations that assembly or the linear solve refused.
-    One application of the map assembles the frozen-coefficient system at the
-    iterate and solves it; the lumped-L2 norm of the defect g - w* is both the
-    convergence measure and the residual the acceleration extrapolates on.
-    With an empty history the update is exactly the plain damped step, so an
-    iterate that already solves its own linearisation (w = 0 at equilibrium)
-    is accepted after a single application with residual exactly zero.  The
-    plain damped map is not a contraction here: the load couples back into the
-    solution through the state-dependent coefficients, and at practical time
-    steps that feedback carries isolated eigenvalues far outside the unit
-    disk.  The least-squares extrapolation removes those few directions while
-    the rest of the spectrum keeps contracting.  On a defect increase or a
-    failed evaluation the history is dropped, the mixing parameter halved
-    (floored), and the best iterate restored.  Whatever iterate the
-    accelerated phase ends on, the Newton finisher runs the remaining
-    evaluation budget down on it; terminal convergence is its job, the
-    accelerated phase only has to reach the basin.
+    exception) of the evaluations that assembly or the linear solve refused;
+    when an evaluation is refused before any is accepted, it returns w_init
+    unconverged with residual inf.  One application of the map assembles the
+    frozen-coefficient system at the iterate and solves it; the lumped-L2 norm
+    of the defect g - w* is both the convergence measure and the residual the
+    acceleration extrapolates on.  With an empty history the update is exactly
+    the plain damped step, so an iterate that already solves its own
+    linearisation (w = 0 at equilibrium) is accepted after a single
+    application with residual exactly zero.  The plain damped map is not a
+    contraction here: the load couples back into the solution through the
+    state-dependent coefficients, and at practical time steps that feedback
+    carries isolated eigenvalues far outside the unit disk.  The least-squares
+    extrapolation removes those few directions while the rest of the spectrum
+    keeps contracting.  On a defect increase or a failed evaluation the
+    history is dropped, the mixing parameter halved (floored), and the best
+    iterate restored.  Whatever iterate the accelerated phase ends on, the
+    Newton finisher runs the remaining evaluation budget down on it; terminal
+    convergence is its job, the accelerated phase only has to reach the basin.
     """
     mesh = s_prev.mesh
     n = params.n_species
@@ -282,9 +282,10 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
         try:
             g = apply_map(x)
         except (AssemblyError, LinearSolveError):
-            # Trial iterate left the resolvable region; back off.
+            # Trial iterate left the resolvable region; back off.  With no
+            # accepted iterate to back off to, the solve has failed.
             if best_x is None:
-                raise
+                break
             rejects += 1
             if rejects >= 3 and mixing <= _DAMPING_FLOOR:
                 break
@@ -361,7 +362,7 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
     if grad_beta_prev is None:
         grad_beta_prev = fem.beta_gradient_field(s_prev, params)
     w_zero = np.zeros((mesh.num_nodes, n))
-    w, iters, res, ok, mixing, (refused, last_refusal) = _fixed_point(
+    w, iters, res, ok, _, (refused, last_refusal) = _fixed_point(
         s_prev, params, spec, solver_cfg, 1.0,
         w_zero if w_start is None else w_start, grad_beta_prev)
     total_iters = iters
@@ -372,7 +373,7 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
         sigmas = np.linspace(1.0 / solver_cfg.homotopy_steps, 1.0,
                              solver_cfg.homotopy_steps)
         for sigma in sigmas:
-            w, iters, res, ok, mixing, refusals = _fixed_point(
+            w, iters, res, ok, _, refusals = _fixed_point(
                 s_prev, params, spec, solver_cfg, float(sigma), w,
                 grad_beta_prev)
             total_iters += iters
@@ -381,9 +382,10 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
             if not ok:
                 break
         if not ok:
-            message = (
-                f"fixed-point iteration failed (last sigma {sigma:.3f}, "
-                f"residual {res:.3e} > fp_tol {solver_cfg.fp_tol:.1e})")
+            outcome = ("no evaluation accepted" if res == math.inf else
+                       f"residual {res:.3e} > fp_tol {solver_cfg.fp_tol:.1e}")
+            message = (f"fixed-point iteration failed (last sigma "
+                       f"{sigma:.3f}, {outcome})")
             if refused:
                 message += (f"; {refused} trial evaluations refused, last: "
                             f"{last_refusal}")
@@ -391,8 +393,7 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
     s_new, _ = fem._recover_points(w, s_prev.totals, params)
     new_state = fem.NodalField(s_new, mesh)
     stats = StepStats(iterations=total_iters, residual=float(res),
-                      used_homotopy=used_homotopy,
-                      damping_final=float(mixing), w=w)
+                      used_homotopy=used_homotopy, w=w)
     return new_state, stats
 
 

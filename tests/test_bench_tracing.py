@@ -91,3 +91,39 @@ def test_traced_run_counts_agree(monkeypatch, capsys):
     assert (metrics["fem.assemble_calls"] == metrics["solver.map_evals"]
             == metrics["solver.linear_calls"] == fp_iters > 0)
     assert metrics["entropy.rootfind_point_evals"] > 0
+
+
+def test_tracer_counts_a_blocked_transform_once(monkeypatch, capsys):
+    # The batch transforms walk their rows in blocks above the names the
+    # tracer wraps: each block is one span, and the counts add up to those
+    # of the same batch transformed as one block.
+    tracing = _load_tracing()
+    modules = {name: importlib.import_module(f"capmix.{name}")
+               for name in ("runio", "solver", "fem", "entropy",
+                            "diagnostics")}
+    for mod, attr, _ in tracing.WRAPPED:
+        monkeypatch.setattr(modules[mod], attr, getattr(modules[mod], attr))
+    tracer = tracing.Tracer()
+    tracer.install(modules)
+    assert "not wrapped" not in capsys.readouterr().err
+
+    params = cst.default_params()
+    rng = np.random.default_rng(5)
+    m = 50
+    frac = rng.uniform(0.05, 1.0, size=(m, params.n_species))
+    states = frac / frac.sum(axis=1, keepdims=True) * rng.uniform(
+        0.05, 0.92, size=(m, 1))
+    prev = rng.uniform(0.05, 0.92, size=m)
+    for batch, rows in enumerate((m, 7)):
+        monkeypatch.setattr(ent, "_BLOCK_ROWS", rows)
+        tracer.start_batch(batch)
+        w, _, _ = ent.w_from_states(states, prev, params)
+        ent.states_from_w(w, prev, params)
+    whole, blocked = tracer.batch_metrics(0), tracer.batch_metrics(1)
+    assert whole["entropy.inverse_points"] == m
+    assert blocked["entropy.inverse_points"] == m
+    assert (blocked["entropy.rootfind_point_evals"]
+            == whole["entropy.rootfind_point_evals"] > m)
+    inverse_spans = [span[4] for span in tracer.spans
+                     if span[0] == "entropy.inverse"]
+    assert inverse_spans == [0] + [1] * 8

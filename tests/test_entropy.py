@@ -2,6 +2,7 @@
 matrices: frozen oracles plus the structural lemmas the scheme relies on."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,63 @@ def test_inversion_far_from_previous_total():
     s, total_kept, _, _ = ent.states_from_w(w[kept], prev[kept], P0)
     assert np.array_equal(total_kept, total[kept])
     assert np.all(s > 0.0)
+
+
+def test_blocking_changes_no_bit_and_no_error(monkeypatch):
+    # 23 rows in blocks of 5: the last block is ragged, and the rows that
+    # snap to the boundary state (w = 0 at the boundary total) sit in later
+    # blocks.
+    rng = np.random.default_rng(22)
+    m = 23
+    s = _random_states(rng, m, lo=0.05, hi=0.92)
+    prev = rng.uniform(0.05, 0.92, size=m)
+    sg = np.asarray(P0.s_gamma)
+    snapped = [12, 21]
+    s[snapped] = sg
+    prev[snapped] = sg.sum()
+    whole = ent.w_from_states(s, prev, P0)
+    whole += ent.states_from_w(whole[0], prev, P0)
+    monkeypatch.setattr(ent, "_BLOCK_ROWS", 5)
+    blocked = ent.w_from_states(s, prev, P0)
+    blocked += ent.states_from_w(blocked[0], prev, P0)
+    assert not blocked[0][snapped].any()
+    assert np.array_equal(blocked[3][snapped], np.tile(sg, (2, 1)))
+    for a, b in zip(whole, blocked):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    # Errors of a later block still surface, naming what the block saw.
+    w = whole[0].copy()
+    w[13] = [0.0, -800.0, 0.0]
+    with pytest.raises(DomainError, match=r"\[0\.0, -800\.0, 0\.0\]"):
+        ent.states_from_w(w, prev, P0)
+    w = whole[0].copy()
+    w[17] = np.nan
+    with np.errstate(divide="ignore"), pytest.raises(RootFindError):
+        ent.states_from_w(w, prev, P0)
+
+
+def test_batch_transforms_peak_near_their_outputs():
+    # Walked in blocks, a batch needs its outputs plus one block's
+    # temporaries: about 1.27 (forward) and 1.20 (inverse) times the output
+    # bytes here.  Transformed whole, it peaked at 2.30 and 3.95 times.
+    rng = np.random.default_rng(23)
+    m = 200_000
+    s = _random_states(rng, m, lo=0.05, hi=0.92)
+    prev = rng.uniform(0.05, 0.92, size=m)
+    w = ent.w_from_states(s, prev, P0)[0]
+    tracemalloc.start()
+    try:
+        for transform, rows in ((ent.w_from_states, s),
+                                (ent.states_from_w, w)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = transform(rows, prev, P0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            ratio = peak / sum(a.nbytes for a in out)
+            del out
+            assert ratio <= 1.6, (transform.__name__, ratio)
+    finally:
+        tracemalloc.stop()
 
 
 def test_row_logsumexp_matches_scipy_bitwise():

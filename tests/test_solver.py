@@ -135,6 +135,25 @@ def test_failed_step_names_its_refused_linear_solves():
     assert str(refusal) in message
 
 
+def test_ladder_reports_a_rung_refused_on_its_first_evaluation():
+    # At 512 cells the full-load solve fails with 13 of its trials refused,
+    # and the ladder's first rung is refused on its first evaluation, from
+    # w = 0, before any iterate is accepted.  The step still ends in the
+    # ladder's error, naming the rung and the refusals.
+    mesh = fem.build_mesh(512)
+    init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
+    with pytest.raises(FixedPointError) as info:
+        solver.run_simulation(init, P0, SPEC, solver.SolverConfig(t_end=2e-3))
+    message = str(info.value)
+    assert message.startswith(
+        "step 1 (t = 0.001): fixed-point iteration failed (last sigma 0.250, "
+        "no evaluation accepted); 14 trial evaluations refused, last: linear "
+        "solve residual "), message
+    refusal = info.value.__cause__.__cause__
+    assert type(refusal) is LinearSolveError
+    assert str(refusal) in message
+
+
 def test_equilibrium_step_is_bitwise_stationary():
     mesh = fem.build_mesh(32)
     eq = solver.equilibrium_initial(mesh, P0)
