@@ -165,11 +165,11 @@ def species_from_relative(total, mu_star) -> SpeciesState:
 # Entropy-variable transform
 # ---------------------------------------------------------------------------
 
-# Rows per block of the public batch transforms.  A block's temporaries (the
-# root-find keeps about ten arrays per unconverged point) then stay in cache
-# and the peak memory of a batch is its outputs plus one block's working set;
-# much smaller blocks pay per-call overhead, much larger ones miss the cache.
+# Rows per block of the public batch transforms: a block's temporaries (the
+# root-find keeps about ten arrays per unconverged point) stay in cache,
+# while much smaller blocks pay per-call overhead.
 _BLOCK_ROWS = 8192
+
 
 @lru_cache(maxsize=32)
 def _f_scalar_terms(params):
@@ -377,8 +377,7 @@ def w_from_states(s, s_prev_total, params):
 
     s: (m, n) component rows, s_prev_total: (m,) previous totals.  Returns
     (w (m,n), ds_dw (m,n), f_value (m,)).  The whole batch is validated,
-    then transformed in blocks of ``_BLOCK_ROWS`` rows; every row is
-    computed on its own, so the result does not depend on the blocking.
+    then transformed in blocks of ``_BLOCK_ROWS`` rows.
     """
     arr = np.asarray(s, dtype=float)
     prev = np.asarray(s_prev_total, dtype=float)
@@ -401,9 +400,8 @@ def states_from_w(w, s_prev_total, params):
     rows lie in the admissible set; a row whose softmax underflows (entries
     spanning more than about 745) raises DomainError.  The previous totals
     are validated on the whole batch, then the rows are recovered in blocks
-    of ``_BLOCK_ROWS``; every row is computed on its own, so the result does
-    not depend on the blocking, and a RootFindError reports the worst
-    residual of the block that failed.
+    of ``_BLOCK_ROWS``; a RootFindError reports the worst residual of the
+    block that failed.
     """
     warr = np.asarray(w, dtype=float)
     prev = np.asarray(s_prev_total, dtype=float)
