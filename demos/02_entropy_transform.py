@@ -16,8 +16,8 @@ from capmix import entropy as ent
 
 def main():
     params = cst.default_params()
-    state = ent.make_state((0.1, 0.2, 0.15))
-    print(f"species state S = {tuple(state.s)}  (total {state.total})")
+    state = np.array((0.1, 0.2, 0.15))
+    print(f"species state S = {tuple(state)}  (total {float(state.sum())})")
     print(f"  free energy h(S)            = {ent.free_energy(state, params):.12g}")
     mu = ent.chem_potentials(state, params)
     print(f"  chemical potentials mu_i    = {np.array2string(mu, precision=8)}")
@@ -26,16 +26,16 @@ def main():
 
     print("\nforward transform at previous total 0.45:")
     prev = np.asarray([0.45])
-    w, ds_dw, f_value = ent.w_from_states(state.s[None, :], prev, params)
+    w, ds_dw, f_value = ent.w_from_states(state[None, :], prev, params)
     print(f"  w    = {np.array2string(w[0], precision=8)}")
     print(f"  f(S) = {f_value[0]:.10g}")
 
     s_back, _, _, _ = ent.states_from_w(w, prev, params)
-    err = np.max(np.abs(s_back[0] - state.s))
+    err = np.max(np.abs(s_back[0] - state))
     print(f"  inverse transform recovers S with max error {err:.3e}")
 
     print("\nmobility matrix M_ij = S_i * dS/dw_j at this state:")
-    mob = np.outer(state.s, ds_dw[0])
+    mob = np.outer(state, ds_dw[0])
     print(np.array2string(mob, precision=6))
     eigs = np.linalg.eigvalsh(0.5 * (mob + mob.T))
     print(f"  symmetric: max|M - M^T| = {np.max(np.abs(mob - mob.T)):.3e}")

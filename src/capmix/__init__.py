@@ -34,15 +34,12 @@ from .constitutive import (
 )
 from .entropy import (
     DiffusionMatrixSpec,
-    SpeciesState,
     chem_potentials,
     free_energy,
     hypocoercivity_constants,
     jmz_inequality_check,
-    make_state,
     project_orthogonal,
     relative_free_energy,
-    species_from_relative,
     states_from_w,
     w_from_states,
 )
@@ -101,14 +98,11 @@ __all__ = [
     "entropy_E",
     "validate_assumptions",
     # entropy
-    "SpeciesState",
     "DiffusionMatrixSpec",
-    "make_state",
     "free_energy",
     "chem_potentials",
     "relative_free_energy",
     "project_orthogonal",
-    "species_from_relative",
     "w_from_states",
     "states_from_w",
     "hypocoercivity_constants",

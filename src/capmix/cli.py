@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 solver
 failure, 4 entropy violation in strict mode.  Orchestration is
-single-threaded; ``--threads N`` additionally caps the thread pools of the
-numerical backends (best effort, via the standard environment variables)
-and ``--seed N`` seeds the randomized parts of the self-test.  All result
-files are written by :mod:`capmix.runio` and are byte-stable across reruns
-of the same configuration.
+single-threaded; backend thread pools follow the standard environment
+variables (e.g. ``OPENBLAS_NUM_THREADS``), set before the process starts.
+``--seed N`` seeds the randomized parts of the self-test.  All result files
+are written by :mod:`capmix.runio` and are byte-stable across reruns of the
+same configuration.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ def _build_parser():
         prog="capmix",
         description=("Entropy-stable simulator for multicomponent two-phase "
                      "flow with dynamic capillary pressure."))
-    parser.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="cap numerical backend thread pools at N")
     parser.add_argument("--seed", type=int, default=12345, metavar="N",
                         help="seed for the randomized self-test checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -57,12 +55,6 @@ def _build_parser():
                    help="run the structural invariant suite on the "
                         "reference parameters")
     return parser
-
-
-def _cap_threads(n):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def _read_config(path):
@@ -252,10 +244,6 @@ def _cmd_selftest(args):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            parser.error("--threads must be at least 1")
-        _cap_threads(args.threads)
 
     from .errors import (ArgumentError, AssemblyError, CapmixError,
                          ConfigParseError, ConfigValidationError,

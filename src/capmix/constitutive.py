@@ -187,16 +187,17 @@ def _tau(s, p: ModelParams):
     return out.reshape(shape)
 
 
+# The power-law kernels below overflow to inf near the ends of (0, 1); their
+# callers enter np.errstate(over="ignore") once around them.
+
 def _tau_over_a(arr, p: ModelParams):
     # Plain sum of two powers: no cancellation, so direct pow is both exact
     # on dyadic states and honest (inf) on overflow.
-    with np.errstate(over="ignore"):
-        return np.power(1.0 - arr, -p.lam) + np.power(arr, -p.gamma1)
+    return np.power(1.0 - arr, -p.lam) + np.power(arr, -p.gamma1)
 
 
 def _pc_prime(arr, p: ModelParams):
-    with np.errstate(over="ignore"):
-        return np.power(arr, -p.beta1) + np.power(1.0 - arr, -p.beta2)
+    return np.power(arr, -p.beta1) + np.power(1.0 - arr, -p.beta2)
 
 
 def eval_coeffs(s, params: ModelParams) -> CoefficientValues:
@@ -210,8 +211,9 @@ def eval_coeffs(s, params: ModelParams) -> CoefficientValues:
     lg, la, ls, den = _log_s_terms(arr, params)
     a = _mobility_from_logs(lg, la, den)
     tau = _tau_from_logs(lg, la, ls, den, params)
-    toa = _tau_over_a(arr, params)
-    pcp = _pc_prime(arr, params)
+    with np.errstate(over="ignore"):
+        toa = _tau_over_a(arr, params)
+        pcp = _pc_prime(arr, params)
     if scalar:
         return CoefficientValues(float(a), float(pcp), float(tau), float(toa))
     return CoefficientValues(a, pcp, tau, toa)
@@ -338,9 +340,8 @@ def _beta_hat_prime(arr, p: ModelParams):
 # ---------------------------------------------------------------------------
 
 def _A_raw(arr, p: ModelParams):
-    with np.errstate(over="ignore"):
-        return (np.power(1.0 - arr, 1.0 - p.lam) / (p.lam - 1.0)
-                - np.power(arr, 1.0 - p.gamma1) / (p.gamma1 - 1.0))
+    return (np.power(1.0 - arr, 1.0 - p.lam) / (p.lam - 1.0)
+            - np.power(arr, 1.0 - p.gamma1) / (p.gamma1 - 1.0))
 
 
 @lru_cache(maxsize=32)
@@ -351,9 +352,8 @@ def _A_half(lam, gamma1):
 
 
 def _B_raw(arr, p: ModelParams):
-    with np.errstate(over="ignore"):
-        return (np.power(1.0 - arr, 2.0 - p.lam) / ((p.lam - 1.0) * (p.lam - 2.0))
-                + np.power(arr, 2.0 - p.gamma1) / ((p.gamma1 - 1.0) * (p.gamma1 - 2.0)))
+    return (np.power(1.0 - arr, 2.0 - p.lam) / ((p.lam - 1.0) * (p.lam - 2.0))
+            + np.power(arr, 2.0 - p.gamma1) / ((p.gamma1 - 1.0) * (p.gamma1 - 2.0)))
 
 
 def _require_kernel_exponents(p: ModelParams):
@@ -370,7 +370,8 @@ def f0_integral(s, params: ModelParams):
     """
     _require_kernel_exponents(params)
     arr, scalar = _as_open_unit(s)
-    out = _f0_open(arr, params)
+    with np.errstate(over="ignore"):
+        out = _f0_open(arr, params)
     return float(out) if scalar else out
 
 
@@ -392,8 +393,9 @@ def entropy_E(s, params: ModelParams):
     _require_kernel_exponents(params)
     arr, scalar = _as_open_unit(s)
     half = np.asarray(0.5)
-    out = (_B_raw(arr, params) - _B_raw(half, params)
-           - _A_half(params.lam, params.gamma1) * (arr - 0.5))
+    with np.errstate(over="ignore"):
+        out = (_B_raw(arr, params) - _B_raw(half, params)
+               - _A_half(params.lam, params.gamma1) * (arr - 0.5))
     return float(out) if scalar else out
 
 

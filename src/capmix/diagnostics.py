@@ -118,18 +118,14 @@ def _cached_assumptions(params):
 # Lyapunov functional
 # ---------------------------------------------------------------------------
 
-def _relative_free_energy_nodal(values, params):
-    """Vectorised relative free energy density per node; exactly zero at the
-    boundary composition."""
-    sg = np.asarray(params.s_gamma, dtype=float)
-    sgt = float(sg.sum())
-    log_yg = np.log(sg) - math.log(sgt)
-    totals = values.sum(axis=1)
-    mixing = np.sum(values * (np.log(values) - np.log(totals)[:, None]
-                              - log_yg[None, :]), axis=1)
-    e_part = (cst.entropy_E(totals, params) - cst.entropy_E(sgt, params)
-              - cst.f0_integral(sgt, params) * (totals - sgt))
-    return mixing + e_part
+def _lyapunov_parts(state, params, mesh, grad_beta):
+    """(mass-lumped integral of the relative free energy, squared L2 norm of
+    the beta-gradient memory): the two shares of the Lyapunov value."""
+    dens = ent.relative_free_energy(state.values, params)
+    bulk = float(np.sum(mesh.lumped_masses * dens))
+    grad_sq = float(np.sum(mesh.widths * np.einsum("q,cq->c", fem._Q_W,
+                                                   grad_beta**2)))
+    return bulk, grad_sq
 
 
 def lyapunov_functional(state: fem.NodalField, params, mesh: fem.Mesh,
@@ -142,14 +138,10 @@ def lyapunov_functional(state: fem.NodalField, params, mesh: fem.Mesh,
     rebuilt from the state itself, which is the correct memory for a state
     that has not stepped yet.
     """
-    m = fem.lumped_mass(mesh)
-    dens = _relative_free_energy_nodal(state.values, params)
-    bulk = float(np.sum(m * dens))
     if grad_beta is None:
         grad_beta = fem.beta_gradient_field(state, params)
-    h = mesh.widths
-    grad = float(np.sum(h * np.einsum("q,cq->c", fem._Q_W, grad_beta**2)))
-    return bulk + 0.5 * grad
+    bulk, grad_sq = _lyapunov_parts(state, params, mesh, grad_beta)
+    return bulk + 0.5 * grad_sq
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +215,16 @@ def _hminus1_sq(mesh, f_nodal):
 
 
 def _instantaneous_apriori(state, params, mesh, grad_beta):
-    """State-only bound quantities (suprema trackers and L^6/L^p integrals).
-    grad_beta is the beta-gradient memory attached to the state."""
+    """State-only bound quantities (suprema trackers and L^6/L^p integrals)
+    and the Lyapunov value, from one evaluation of its two shares.
+    grad_beta is the beta-gradient memory attached to the state.  Returns
+    (quantities, lyapunov)."""
     rep = _cached_assumptions(params)
     m = fem.lumped_mass(mesh)
     totals = state.totals
-    dens = _relative_free_energy_nodal(state.values, params)
-    h = mesh.widths
-    grad_beta_sq = float(np.sum(h * np.einsum("q,cq->c", fem._Q_W,
-                                              grad_beta**2)))
+    bulk, grad_beta_sq = _lyapunov_parts(state, params, mesh, grad_beta)
     out = {
-        "entropy_integral": float(np.sum(m * dens)),
+        "entropy_integral": bulk,
         "grad_beta_l2": math.sqrt(grad_beta_sq),
         "total_pow_gamma1_int": float(np.sum(m * totals ** (2.0 - params.gamma1))),
         "one_minus_total_pow_lam_int": float(np.sum(m * (1.0 - totals) ** (2.0 - params.lam))),
@@ -245,7 +236,7 @@ def _instantaneous_apriori(state, params, mesh, grad_beta):
         out["mobility_inv_p_int"] = float(np.sum(m * a_vals ** (-rep.p)))
     else:
         out["mobility_inv_p_int"] = math.inf
-    return out
+    return out, bulk + 0.5 * grad_beta_sq
 
 
 def initial_record(state: fem.NodalField, params, spec) -> DiagnosticsRecord:
@@ -254,11 +245,11 @@ def initial_record(state: fem.NodalField, params, spec) -> DiagnosticsRecord:
     the state itself."""
     mesh = state.mesh
     grad_beta = fem.beta_gradient_field(state, params)
-    apriori = _instantaneous_apriori(state, params, mesh, grad_beta)
+    apriori, lyapunov = _instantaneous_apriori(state, params, mesh, grad_beta)
     apriori.update({"grad_dkbeta_lq_int": 0.0, "dt_hminus1_sq": 0.0})
     return DiagnosticsRecord(
         step=0, time=0.0,
-        lyapunov=lyapunov_functional(state, params, mesh, grad_beta),
+        lyapunov=lyapunov,
         diss_dbeta_sq=0.0, diss_capillary=0.0, diss_grad_dbeta=0.0,
         diss_eps_w=0.0, diss_proj_mu=0.0,
         min_species=float(state.values.min()),
@@ -310,7 +301,8 @@ def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
     grad_pi = (pi_w[1:] - pi_w[:-1]) / h[:, None]
     diss_proj_mu = float(np.sum(h[:, None] * grad_pi**2))
 
-    apriori = _instantaneous_apriori(state_new, params, mesh, data["g_new"])
+    apriori, lyapunov = _instantaneous_apriori(state_new, params, mesh,
+                                               data["g_new"])
     rep = _cached_assumptions(params)
     # Backward difference of the beta-gradient memory, in L^q space.
     q_exp = rep.q
@@ -324,7 +316,7 @@ def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
 
     return DiagnosticsRecord(
         step=step, time=time,
-        lyapunov=lyapunov_functional(state_new, params, mesh, data["g_new"]),
+        lyapunov=lyapunov,
         diss_dbeta_sq=diss_dbeta_sq,
         diss_capillary=diss_capillary,
         diss_grad_dbeta=diss_grad_dbeta,
@@ -482,7 +474,7 @@ def gibbs_duhem_check(state: fem.NodalField, params, mesh: fem.Mesh) -> float:
     gradients of the nodal interpolants."""
     v = state.values
     totals = state.totals
-    mu = np.log(v) - np.log(totals)[:, None] + cst.f0_integral(totals, params)[:, None]
+    mu = ent.chem_potentials(v, params)
     lam = totals * cst.f0_integral(totals, params) - cst.entropy_E(totals, params)
     h = mesh.widths
     s_bar = 0.5 * (v[1:] + v[:-1])

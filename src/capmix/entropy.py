@@ -6,9 +6,17 @@ energy density is
     F(S_1..S_n) = sum_i S_i log(S_i/S) + E(S),
 
 with E the convex kernel from :mod:`capmix.constitutive`.  Its gradient gives
-the chemical potentials mu_i = log(S_i/S) + f0(S).  The entropy variable used
-by the implicit scheme shifts mu by its boundary value and adds the (parallel
-to (1,..,1)) dynamic-capillarity increment:
+the chemical potentials mu_i = log(S_i/S) + f0(S), and the relative free
+energy F(S) - F(S^G) - mu(S^G).(S - S^G) is the density of the scheme's
+Lyapunov functional.  ``free_energy``, ``chem_potentials`` and
+``relative_free_energy`` are the only definitions of these quantities, used
+by the per-step diagnostics as well: each takes component rows of shape
+(..., n), one row being (n,), and refuses any row outside the admissible set
+{S_i > 0, sum S_i < 1} with DomainError.  Each row is computed on its own,
+so a stacked call equals the one-row calls bit for bit.
+
+The entropy variable used by the implicit scheme shifts mu by its boundary
+value and adds the (parallel to (1,..,1)) dynamic-capillarity increment:
 
     w_i = mu_i(S) - mu_i(S^G) + (beta(S) - beta(s_prev)) / kappa.
 
@@ -45,49 +53,16 @@ from . import constitutive as cst
 from .errors import ArgumentError, DomainError, RootFindError
 
 __all__ = [
-    "SpeciesState",
     "DiffusionMatrixSpec",
-    "make_state",
     "free_energy",
     "chem_potentials",
     "relative_free_energy",
     "project_orthogonal",
-    "species_from_relative",
     "w_from_states",
     "states_from_w",
     "hypocoercivity_constants",
     "jmz_inequality_check",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class SpeciesState:
-    """Composition vector with its cached total; must lie in the open set
-    {S_i > 0, sum S_i < 1}."""
-
-    s: np.ndarray
-    total: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.s, dtype=float)
-        object.__setattr__(self, "s", arr)
-        object.__setattr__(self, "total", float(self.total))
-        if arr.ndim != 1 or arr.size < 1:
-            raise ArgumentError("species vector must be one-dimensional and non-empty")
-        if abs(self.total - float(arr.sum())) > 1e-14:
-            raise ArgumentError("total does not match the component sum")
-        if not np.all(arr > 0.0) or not self.total < 1.0 or not np.all(np.isfinite(arr)):
-            raise DomainError("state outside the admissible set (need S_i > 0, sum < 1)")
-
-    @property
-    def n(self):
-        return self.s.size
-
-
-def make_state(s) -> SpeciesState:
-    """Build a SpeciesState from a component vector, computing the total."""
-    arr = np.asarray(s, dtype=float)
-    return SpeciesState(arr, float(arr.sum()))
 
 
 @dataclass(frozen=True)
@@ -112,30 +87,51 @@ class DiffusionMatrixSpec:
 # Free energy and potentials
 # ---------------------------------------------------------------------------
 
-def _boundary_arrays(params):
-    sg = np.asarray(params.s_gamma, dtype=float)
-    return sg, float(sg.sum())
+def _admissible_rows(s):
+    """Component rows (..., n) as a float array and their totals; any row
+    outside {S_i > 0, sum S_i < 1} raises DomainError (one min and one max
+    decide it, and a NaN or an infinity fails them)."""
+    arr = np.asarray(s, dtype=float)
+    if arr.ndim < 1 or arr.shape[-1] < 1:
+        raise ArgumentError("component rows must have shape (..., n), n >= 1")
+    total = arr.sum(axis=-1)
+    if arr.size and not (arr.min() > 0.0 and total.max() < 1.0):
+        bad = arr[~((arr > 0.0).all(axis=-1) & (total < 1.0))][0]
+        raise DomainError(f"state {bad.tolist()} outside the admissible set "
+                          "(need S_i > 0, sum < 1)")
+    return arr, total
 
 
-def free_energy(state: SpeciesState, params) -> float:
-    """F = sum S_i log(S_i/S) + E(S); bounded below by -(1/e) n S."""
-    s, total = state.s, state.total
-    mixing = float(np.sum(s * (np.log(s) - math.log(total))))
-    return mixing + cst.entropy_E(total, params)
+def free_energy(s, params):
+    """F = sum S_i log(S_i/S) + E(S) per row of s (shape (..., n)); bounded
+    below by -(1/e) n S."""
+    arr, total = _admissible_rows(s)
+    return (np.sum(arr * (np.log(arr) - np.log(total)[..., None]), axis=-1)
+            + cst.entropy_E(total, params))
 
 
-def chem_potentials(state: SpeciesState, params) -> np.ndarray:
-    """mu_i = log(S_i/S) + f0(S) — the gradient of free_energy."""
-    return np.log(state.s) - math.log(state.total) + cst.f0_integral(state.total, params)
+def chem_potentials(s, params):
+    """mu_i = log(S_i/S) + f0(S) per row of s (shape (..., n)) — the
+    gradient of free_energy."""
+    arr, total = _admissible_rows(s)
+    f0 = np.asarray(cst.f0_integral(total, params))
+    return np.log(arr) - np.log(total)[..., None] + f0[..., None]
 
 
-def relative_free_energy(state: SpeciesState, params) -> float:
-    """F(S) - F(S^G) - mu(S^G).(S - S^G): nonnegative, zero only at S^G."""
-    sg, _ = _boundary_arrays(params)
-    ref = make_state(sg)
-    mu_ref = chem_potentials(ref, params)
-    return (free_energy(state, params) - free_energy(ref, params)
-            - float(mu_ref @ (state.s - sg)))
+def relative_free_energy(s, params):
+    """Bregman distance F(S) - F(S^G) - mu(S^G).(S - S^G) per row of s
+    (shape (..., n)): nonnegative and exactly zero at S^G.
+
+    Written as sum S_i (log(S_i/S) - log(S^G_i/S^G)) plus the kernel's own
+    Bregman distance E(S) - E(S^G) - f0(S^G)(S - S^G), with the boundary
+    constants of the transform.
+    """
+    arr, total = _admissible_rows(s)
+    log_yg, f0_ref, sgt, _ = _f_scalar_terms(params)
+    mixing = np.sum(arr * (np.log(arr) - np.log(total)[..., None] - log_yg),
+                    axis=-1)
+    return mixing + (cst.entropy_E(total, params) - cst.entropy_E(sgt, params)
+                     - f0_ref * (total - sgt))
 
 
 def project_orthogonal(v) -> np.ndarray:
@@ -143,22 +139,6 @@ def project_orthogonal(v) -> np.ndarray:
     v - mean(v)."""
     arr = np.asarray(v, dtype=float)
     return arr - arr.mean(axis=-1, keepdims=True)
-
-
-def species_from_relative(total, mu_star) -> SpeciesState:
-    """Recover a state from its total and relative chemical potentials.
-
-    S_i = total * softmax(mu_star)_i; invariant under constant shifts of
-    mu_star (max-subtraction keeps the exponentials finite).
-    """
-    t = float(total)
-    if not 0.0 < t < 1.0:
-        raise DomainError(f"total must lie in (0,1); got {total!r}")
-    m = np.asarray(mu_star, dtype=float)
-    shifted = m - m.max()
-    e = np.exp(shifted)
-    frac = e / e.sum()
-    return SpeciesState(t * frac, t)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +156,8 @@ def _f_scalar_terms(params):
     """Constants of f, once per parameter set: (log boundary fractions,
     f0(S^G), boundary total, boundary composition); the arrays are
     read-only because every caller shares them."""
-    sg, sgt = _boundary_arrays(params)
+    sg = np.asarray(params.s_gamma, dtype=float)
+    sgt = float(sg.sum())
     log_yg = np.log(sg) - math.log(sgt)
     f0_ref = cst.f0_integral(sgt, params)
     log_yg.flags.writeable = False
@@ -197,6 +178,7 @@ def _f_of_total(total, beta_prev, f0_ref, params):
             + (cst._beta_hat(total, params) - beta_prev) / params.kappa)
 
 
+@np.errstate(over="ignore")
 def _ds_dw(s, total, params):
     """dS/dw_j of the total at stacked points: s_j / (S f'(S)), with
     f'(S) = tau/a + tau/kappa > 0."""
@@ -204,6 +186,7 @@ def _ds_dw(s, total, params):
     return s / (total * fp)[:, None]
 
 
+@np.errstate(over="ignore")
 def _w_many(s, total, s_prev_total, params):
     """Forward transform on stacked states.
 
@@ -217,6 +200,9 @@ def _w_many(s, total, s_prev_total, params):
     return w, _ds_dw(s, total, params), f_val
 
 
+# f and f' overflow to inf near the ends of (0, 1), and a Newton quotient is
+# then inf/inf; the safeguards handle both, so one context covers the call.
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_total_many(c, s_prev_total, params, max_iter=100):
     """Solve f(S) = c per point by safeguarded Newton (rtsafe).
 
@@ -261,9 +247,9 @@ def _solve_total_many(c, s_prev_total, params, max_iter=100):
         below = fx < cc
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        fp = cst._tau_over_a(x, params) + cst._beta_hat_prime(x, params) / params.kappa
-        with np.errstate(over="ignore", invalid="ignore"):
-            dn = (fx - cc) / fp
+        fp = (cst._tau_over_a(x, params)
+              + cst._beta_hat_prime(x, params) / params.kappa)
+        dn = (fx - cc) / fp
         newton = x - dn
         take = (np.isfinite(newton) & (newton > lo) & (newton < hi)
                 & (np.abs(dn) <= 0.5 * dx_old))
@@ -288,41 +274,6 @@ def _solve_total_many(c, s_prev_total, params, max_iter=100):
         f"(tolerance {params.rootfind_tol:.1e})")
 
 
-def _state_from_w_many(w, s_prev_total, params):
-    """Inverse transform on stacked points.
-
-    w: (m, n), s_prev_total: (m,).  Returns (s (m,n), total (m,),
-    f_value (m,)); ``states_from_w`` adds the derivative ds_dw, which
-    assembly takes from its own coefficient evaluation instead.
-    """
-    w = np.asarray(w, dtype=float)
-    prev = np.asarray(s_prev_total, dtype=float)
-    log_yg, _, sgt, sg = _f_scalar_terms(params)
-
-    # At w = 0 with the previous total equal to the boundary total, the exact
-    # root is the boundary state itself (f(S^G_total) = 0 and the fractions
-    # reduce to the boundary fractions); return it bitwise so equilibrium is
-    # preserved exactly instead of to round-off of logsumexp/softmax.
-    snap = (prev == sgt) & (w == 0.0).all(axis=1)
-    if snap.any():
-        m, n = w.shape
-        s = np.empty((m, n))
-        total = np.empty(m)
-        f_val = np.empty(m)
-        s[snap] = sg
-        total[snap] = sgt
-        f_val[snap] = 0.0
-        rest = ~snap
-        if rest.any():
-            s_r, t_r, f_r = _state_from_w_core(w[rest], prev[rest], log_yg, params)
-            s[rest] = s_r
-            total[rest] = t_r
-            f_val[rest] = f_r
-    else:
-        s, total, f_val = _state_from_w_core(w, prev, log_yg, params)
-    return s, total, f_val
-
-
 def _logsumexp_rows(a):
     """log(sum(exp(a))) along the rows of a finite (m, n) array, bit for bit
     as ``scipy.special.logsumexp``: log1p(s) + log(m) + max, with m the
@@ -335,17 +286,33 @@ def _logsumexp_rows(a):
     return (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
 
 
-def _state_from_w_core(w, prev, log_yg, params):
-    """Softmax fractions plus scalar root-find; no equilibrium special case.
+def _state_from_w_many(w, s_prev_total, params):
+    """Inverse transform on stacked points: softmax fractions of w times the
+    total from the scalar root-find.
 
-    A row of w spanning more than about 745 underflows a fraction to zero,
-    a state outside the admissible set: it raises DomainError.
+    w: (m, n) finite, s_prev_total: (m,).  Returns (s (m,n), total (m,),
+    f_value (m,)); ``states_from_w`` adds the derivative ds_dw, which
+    assembly takes from its own coefficient evaluation instead.  A row of w
+    spanning more than about 745 underflows a fraction to zero, a state
+    outside the admissible set: it raises DomainError.
     """
+    w = np.asarray(w, dtype=float)
+    prev = np.asarray(s_prev_total, dtype=float)
+    log_yg, _, sgt, sg = _f_scalar_terms(params)
     shifted = w + log_yg[None, :]
     c = _logsumexp_rows(shifted)
     total, f_val = _solve_total_many(c, prev, params)
-    frac = np.exp(shifted - c[:, None])
-    s = total[:, None] * frac
+    s = total[:, None] * np.exp(shifted - c[:, None])
+
+    # At w = 0 with the previous total equal to the boundary total, the exact
+    # root is the boundary state itself (f(S^G_total) = 0 and the fractions
+    # reduce to the boundary fractions); return it bitwise so equilibrium is
+    # preserved exactly instead of to round-off of logsumexp/softmax.  Each
+    # row is computed on its own, so overwriting these changes no other row.
+    snap = (prev == sgt) & (w == 0.0).all(axis=1)
+    s[snap] = sg
+    total[snap] = sgt
+    f_val[snap] = 0.0
     if s.size and not s.min() > 0.0:
         row = w[~(s > 0.0).all(axis=1)][0]
         raise DomainError(f"entropy variables {row.tolist()} recover a "
@@ -383,9 +350,7 @@ def w_from_states(s, s_prev_total, params):
     prev = np.asarray(s_prev_total, dtype=float)
     if arr.ndim != 2 or prev.shape != (arr.shape[0],):
         raise ArgumentError("need s of shape (m, n) and matching previous totals")
-    totals = arr.sum(axis=1)
-    if not (np.all(arr > 0.0) and np.all(totals < 1.0)):
-        raise DomainError("states outside the admissible set (need S_i > 0, sum < 1)")
+    arr, totals = _admissible_rows(arr)
     if not (np.all(prev > 0.0) and np.all(prev < 1.0)):
         raise DomainError("previous totals must lie in (0,1)")
     return _by_blocks(lambda s_b, t_b, p_b: _w_many(s_b, t_b, p_b, params),
@@ -398,15 +363,19 @@ def states_from_w(w, s_prev_total, params):
     w: (m, n) entropy-variable rows, s_prev_total: (m,) previous totals.
     Returns (s (m,n), total (m,), ds_dw (m,n), f_value (m,)); the recovered
     rows lie in the admissible set; a row whose softmax underflows (entries
-    spanning more than about 745) raises DomainError.  The previous totals
-    are validated on the whole batch, then the rows are recovered in blocks
-    of ``_BLOCK_ROWS``; a RootFindError reports the worst residual of the
-    block that failed.
+    spanning more than about 745) raises DomainError.  The whole batch is
+    validated first (a non-finite w raises DomainError naming its first bad
+    row, previous totals must lie in (0,1)), then the rows are recovered in
+    blocks of ``_BLOCK_ROWS``; a RootFindError reports the worst residual of
+    the block that failed.
     """
     warr = np.asarray(w, dtype=float)
     prev = np.asarray(s_prev_total, dtype=float)
     if warr.ndim != 2 or prev.shape != (warr.shape[0],):
         raise ArgumentError("need w of shape (m, n) and matching previous totals")
+    if warr.size and not (np.isfinite(warr.min()) and np.isfinite(warr.max())):
+        row = warr[~np.isfinite(warr).all(axis=1)][0]
+        raise DomainError(f"entropy variables {row.tolist()} are not finite")
     if not (np.all(prev > 0.0) and np.all(prev < 1.0)):
         raise DomainError("previous totals must lie in (0,1)")
 

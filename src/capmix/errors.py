@@ -43,13 +43,7 @@ class PreconditionError(CapmixError, ValueError):
 
 
 class ConfigParseError(CapmixError, ValueError):
-    """Config file is syntactically malformed (carries a line number)."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """Config file is syntactically malformed (the message names the line)."""
 
 
 class ConfigValidationError(CapmixError, ValueError):

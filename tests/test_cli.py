@@ -1,7 +1,5 @@
 """Command-line entry point: subcommands, exit codes, and error mapping."""
 
-import os
-
 import pytest
 
 from capmix import cli, solver
@@ -182,21 +180,6 @@ def test_study_rejects_malformed_ladder(tmp_path, capsys):
     cfg = _write_config(tmp_path, tmp_path / "out")
     assert cli.main(["study", cfg, "--kappas", "fast,slow"]) == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_threads_flag_validation(tmp_path):
-    cfg = _write_config(tmp_path, tmp_path / "out")
-    with pytest.raises(SystemExit):
-        cli.main(["--threads", "0", "validate", cfg])
-
-
-def test_threads_flag_pins_environment(tmp_path, monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    cfg = _write_config(tmp_path, tmp_path / "out")
-    assert cli.main(["--threads", "1", "validate", cfg]) == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def test_selftest_passes(capsys):

@@ -42,6 +42,20 @@ def test_lyapunov_zero_at_boundary_composition():
     assert diag.lyapunov_functional(pert, P0, mesh) > 0.0
 
 
+def test_record_lyapunov_is_the_public_functional(short_run):
+    # Every record's Lyapunov value comes from the same relative free
+    # energy and gradient-memory sum as its a-priori trackers, and equals
+    # the public functional bit for bit.
+    traj = short_run
+    assert len(traj.states) == len(traj.diagnostics) > 2
+    for state, rec in zip(traj.states, traj.diagnostics):
+        expected = diag.lyapunov_functional(state, P0, state.mesh,
+                                            rec.grad_beta)
+        assert rec.lyapunov == expected
+        assert rec.apriori["entropy_integral"] == diag.lyapunov_functional(
+            state, P0, state.mesh, np.zeros_like(rec.grad_beta))
+
+
 def test_initial_record_contents():
     mesh = fem.build_mesh(12)
     eq = solver.equilibrium_initial(mesh, P0)

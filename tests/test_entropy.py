@@ -30,24 +30,40 @@ def _random_states(rng, m, n=3, lo=0.02, hi=0.97):
     return raw / raw.sum(axis=1, keepdims=True) * totals[:, None]
 
 
-def test_species_state_validation():
-    with pytest.raises(ArgumentError):
-        ent.SpeciesState(np.array([0.1, 0.2]), 0.5)
-    with pytest.raises(DomainError):
-        ent.make_state([0.4, 0.7])
-    with pytest.raises(DomainError):
-        ent.make_state([0.3, -0.1])
-    st_ok = ent.make_state([0.1, 0.2, 0.15])
-    assert st_ok.n == 3 and st_ok.total == pytest.approx(0.45, abs=1e-16)
+def test_row_functions_refuse_inadmissible_rows():
+    for fn in (ent.free_energy, ent.chem_potentials, ent.relative_free_energy):
+        for bad in ([0.4, 0.7], [0.3, -0.1], [0.3, 0.0], [0.2, np.nan],
+                    [[0.1, 0.2], [0.5, 0.5]], [[[0.1, 0.2]], [[np.inf, 0.1]]]):
+            with pytest.raises(DomainError):
+                fn(bad, P0)
+        with pytest.raises(ArgumentError):
+            fn(0.3, P0)
+
+
+def test_row_functions_stack_bitwise():
+    # Stacked rows, S^G rows among them, equal the one-row calls bit for
+    # bit, in any leading shape; the relative free energy is exactly 0 at
+    # S^G.
+    rng = np.random.default_rng(10)
+    rows = _random_states(rng, 12)
+    rows[[3, 8]] = P0.s_gamma
+    for fn in (ent.free_energy, ent.chem_potentials, ent.relative_free_energy):
+        stacked = fn(rows, P0)
+        single = np.array([fn(r, P0) for r in rows])
+        assert stacked.tobytes() == single.tobytes(), fn.__name__
+        assert fn(rows.reshape(3, 4, 3), P0).tobytes() == stacked.tobytes()
+    rel = ent.relative_free_energy(rows, P0)
+    assert rel[3] == 0.0 and rel[8] == 0.0
+    assert ent.relative_free_energy(P0.s_gamma, P0) == 0.0
 
 
 def test_free_energy_oracle():
-    state = ent.make_state(ORACLE_STATE)
-    assert ent.free_energy(state, P0) == pytest.approx(ORACLE_F, rel=1e-13)
+    assert ent.free_energy(ORACLE_STATE, P0) == pytest.approx(ORACLE_F,
+                                                              rel=1e-13)
 
 
 def test_free_energy_equal_fractions():
-    state = ent.make_state([1 / 6, 1 / 6, 1 / 6])
+    state = [1 / 6, 1 / 6, 1 / 6]
     assert ent.free_energy(state, P0) == pytest.approx(ORACLE_F_EQUAL,
                                                        rel=1e-14)
     mu = ent.chem_potentials(state, P0)
@@ -55,52 +71,46 @@ def test_free_energy_equal_fractions():
 
 
 def test_chem_potentials_oracle():
-    state = ent.make_state(ORACLE_STATE)
-    mu = ent.chem_potentials(state, P0)
+    mu = ent.chem_potentials(ORACLE_STATE, P0)
     assert np.allclose(mu, ORACLE_MU, rtol=1e-13, atol=0)
 
 
 def test_chem_potentials_are_free_energy_gradient():
     rng = np.random.default_rng(11)
     step = 1e-7
-    for s in _random_states(rng, 20, lo=0.2, hi=0.8):
-        state = ent.make_state(s)
-        mu = ent.chem_potentials(state, P0)
-        for i in range(3):
-            up, dn = s.copy(), s.copy()
-            up[i] += step
-            dn[i] -= step
-            fd = (ent.free_energy(ent.make_state(up), P0)
-                  - ent.free_energy(ent.make_state(dn), P0)) / (2 * step)
-            assert abs(fd - mu[i]) <= 1e-6 * max(1.0, abs(mu[i]))
+    states = _random_states(rng, 20, lo=0.2, hi=0.8)
+    mu = ent.chem_potentials(states, P0)
+    for i in range(3):
+        up, dn = states.copy(), states.copy()
+        up[:, i] += step
+        dn[:, i] -= step
+        fd = (ent.free_energy(up, P0) - ent.free_energy(dn, P0)) / (2 * step)
+        assert np.all(np.abs(fd - mu[:, i])
+                      <= 1e-6 * np.maximum(1.0, np.abs(mu[:, i])))
 
 
 def test_free_energy_lower_bound():
     rng = np.random.default_rng(12)
-    for s in _random_states(rng, 200):
-        state = ent.make_state(s)
-        f = ent.free_energy(state, P0)
-        assert f >= -state.total * math.log(state.n) - 1e-12
+    states = _random_states(rng, 200)
+    f = ent.free_energy(states, P0)
+    assert np.all(f >= -states.sum(axis=1) * math.log(3) - 1e-12)
 
 
 def test_relative_free_energy_properties():
-    ref = ent.make_state(P0.s_gamma)
-    assert ent.relative_free_energy(ref, P0) == 0.0
-    assert ent.relative_free_energy(ent.make_state(ORACLE_STATE), P0) == \
+    assert ent.relative_free_energy(P0.s_gamma, P0) == 0.0
+    assert ent.relative_free_energy(ORACLE_STATE, P0) == \
         pytest.approx(ORACLE_REL_F, rel=1e-11)
     rng = np.random.default_rng(13)
-    for s in _random_states(rng, 100):
-        if np.max(np.abs(s - np.asarray(P0.s_gamma))) < 1e-12:
-            continue
-        assert ent.relative_free_energy(ent.make_state(s), P0) > 0.0
+    states = _random_states(rng, 100)
+    away = np.max(np.abs(states - np.asarray(P0.s_gamma)), axis=1) >= 1e-12
+    assert np.all(ent.relative_free_energy(states[away], P0) > 0.0)
     # Convexity: the relative energy grows monotonically along a ray from
     # the boundary state towards the edge of the admissible set.
     direction = np.array([0.3, -0.05, 0.2])
     ts = np.linspace(0.05, 0.9, 12)
-    vals = [ent.relative_free_energy(
-        ent.make_state(np.asarray(P0.s_gamma) + t * direction * 0.5), P0)
-        for t in ts]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
+    vals = ent.relative_free_energy(
+        np.asarray(P0.s_gamma) + ts[:, None] * direction * 0.5, P0)
+    assert np.all(vals[1:] > vals[:-1])
 
 
 def test_project_orthogonal():
@@ -113,20 +123,6 @@ def test_project_orthogonal():
     px = ent.project_orthogonal(x)
     assert np.allclose(ent.project_orthogonal(px), px, atol=1e-14)
     assert abs(px.sum()) < 1e-12
-
-
-def test_species_from_relative_recovers_state():
-    # The projection removes the common f0(S) share of mu only after each
-    # mu_i was rounded to ulp(f0), so the recovered fractions carry a
-    # relative error of order ulp(f0(S)) ~ 1e-10 near the range edges.
-    rng = np.random.default_rng(15)
-    for s in _random_states(rng, 50, lo=0.05, hi=0.92):
-        state = ent.make_state(s)
-        mu_star = ent.project_orthogonal(ent.chem_potentials(state, P0))
-        rec = ent.species_from_relative(state.total, mu_star)
-        assert np.allclose(rec.s, s, rtol=1e-9, atol=1e-12)
-    with pytest.raises(DomainError):
-        ent.species_from_relative(1.2, np.zeros(3))
 
 
 def test_boundary_state_maps_to_zero_exactly():
@@ -186,6 +182,19 @@ def test_recovery_refuses_an_underflowing_species():
         ent._state_from_w_many(w, np.array([0.45, 0.45]), P0)
 
 
+def test_states_from_w_refuses_non_finite_w():
+    # A non-finite w is refused by the whole-batch validation, naming the
+    # first bad row, before any block is recovered.
+    prev = np.full(4, 0.45)
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.zeros((4, 3))
+        w[2, 1] = bad
+        w[3, 0] = bad
+        with pytest.raises(DomainError, match=r"\[0\.0, " + f"{bad}"
+                           + r", 0\.0\] are not finite"):
+            ent.states_from_w(w, prev, P0)
+
+
 def test_inversion_far_from_previous_total():
     # Large |w| with previous totals near 0 or 1 puts the root far from the
     # Newton start, where steps overshoot the bracket or stall on the
@@ -238,7 +247,7 @@ def test_blocking_changes_no_bit_and_no_error(monkeypatch):
         ent.states_from_w(w, prev, P0)
     w = whole[0].copy()
     w[17] = np.nan
-    with np.errstate(divide="ignore"), pytest.raises(RootFindError):
+    with pytest.raises(DomainError, match="not finite"):
         ent.states_from_w(w, prev, P0)
 
 
