@@ -17,7 +17,8 @@ from capmix import entropy as ent
 def main():
     params = cst.default_params()
     state = np.array((0.1, 0.2, 0.15))
-    print(f"species state S = {tuple(state)}  (total {float(state.sum())})")
+    print(f"species state S = {tuple(state.tolist())}  "
+          f"(total {float(state.sum())})")
     print(f"  free energy h(S)            = {ent.free_energy(state, params):.12g}")
     mu = ent.chem_potentials(state, params)
     print(f"  chemical potentials mu_i    = {np.array2string(mu, precision=8)}")

@@ -55,7 +55,7 @@ __all__ = [
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: species count, coefficient exponents, boundary state,
-    time step, regularisation strength and the root-find tolerance.
+    time step and regularisation strength.
 
     ``s_gamma`` is the constant boundary composition (one positive entry per
     species, summing to less than 1).  ``lam`` is the wetting-side exponent
@@ -71,7 +71,6 @@ class ModelParams:
     s_gamma: tuple = (0.15, 0.15, 0.15)
     kappa: float = 1e-3
     eps: float = 1e-3
-    rootfind_tol: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "s_gamma", tuple(float(v) for v in self.s_gamma))
@@ -90,8 +89,6 @@ class ModelParams:
             raise ArgumentError("kappa must be positive")
         if self.eps < 0:
             raise ArgumentError("eps must be non-negative")
-        if not self.rootfind_tol > 0:
-            raise ArgumentError("rootfind_tol must be positive")
 
     @property
     def total_gamma(self):

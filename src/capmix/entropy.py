@@ -26,9 +26,9 @@ Inverting w -> S reduces to one scalar strictly-increasing equation
 
 whose root gives the total; the fractions are a weighted softmax of w.  The
 root is found by a safeguarded Newton iteration on the bracket (0, 1) to the
-residual |f(S) - c| <= rootfind_tol * (1 + |c|).  Both directions evaluate f
-through the same helper, so the round-trip error is set by that residual
-target (and the rounding of the stored sum log(S_i/S) + f(S)), not by any
+residual |f(S) - c| <= 1e-12 (1 + |c|).  Both directions evaluate f through
+the same helper, so the round-trip error is set by that residual target
+(and the rounding of the stored sum log(S_i/S) + f(S)), not by any
 quadrature error.
 
 The public batch transforms ``w_from_states`` and ``states_from_w`` validate
@@ -150,6 +150,10 @@ def project_orthogonal(v) -> np.ndarray:
 # while much smaller blocks pay per-call overhead.
 _BLOCK_ROWS = 8192
 
+# Relative residual target and iteration cap of the root-find for the total.
+_ROOTFIND_TOL = 1e-12
+_ROOTFIND_MAX_ITER = 100
+
 
 @lru_cache(maxsize=32)
 def _f_scalar_terms(params):
@@ -203,7 +207,7 @@ def _w_many(s, total, s_prev_total, params):
 # f and f' overflow to inf near the ends of (0, 1), and a Newton quotient is
 # then inf/inf; the safeguards handle both, so one context covers the call.
 @np.errstate(over="ignore", invalid="ignore")
-def _solve_total_many(c, s_prev_total, params, max_iter=100):
+def _solve_total_many(c, s_prev_total, params):
     """Solve f(S) = c per point by safeguarded Newton (rtsafe).
 
     f is strictly increasing from -inf at 0 to +inf at 1, so (0, 1) brackets
@@ -218,14 +222,14 @@ def _solve_total_many(c, s_prev_total, params, max_iter=100):
     f0(S^G) and beta_hat(s_prev) are evaluated once, and only points that
     have not converged are iterated.
 
-    Convergence target |f(S) - c| <= rootfind_tol * (1 + |c|); a point that
-    misses it after ``max_iter`` steps (a NaN c never meets it), or whose
-    bracket closes on adjacent doubles first (a root nearer 1 than the double
-    spacing there), raises RootFindError.  Returns (total, f(total)).
+    Convergence target |f(S) - c| <= _ROOTFIND_TOL * (1 + |c|); a point that
+    misses it after _ROOTFIND_MAX_ITER steps (a NaN c never meets it), or
+    whose bracket closes on adjacent doubles first (a root nearer 1 than the
+    double spacing there), raises RootFindError.  Returns (total, f(total)).
     """
     c = np.asarray(c, dtype=float)
     prev = np.asarray(s_prev_total, dtype=float)
-    tol = params.rootfind_tol * (1.0 + np.abs(c))
+    tol = _ROOTFIND_TOL * (1.0 + np.abs(c))
     _, f0_ref, _, _ = _f_scalar_terms(params)
     beta_prev = cst._beta_hat(prev, params)
 
@@ -243,7 +247,7 @@ def _solve_total_many(c, s_prev_total, params, max_iter=100):
     hi = np.ones_like(x)
     dx = np.ones_like(x)
     dx_old = dx
-    for _ in range(max_iter):
+    for _ in range(_ROOTFIND_MAX_ITER):
         below = fx < cc
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
@@ -271,7 +275,7 @@ def _solve_total_many(c, s_prev_total, params, max_iter=100):
     worst = float(np.max(np.abs(fx - cc) / (1.0 + np.abs(cc))))
     raise RootFindError(
         f"total-saturation inversion stalled at residual {worst:.3e} "
-        f"(tolerance {params.rootfind_tol:.1e})")
+        f"(tolerance {_ROOTFIND_TOL:.1e})")
 
 
 def _logsumexp_rows(a):

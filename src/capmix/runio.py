@@ -5,8 +5,10 @@ bracketed section headers ``[model]``, ``[solver]``, ``[mesh]``,
 ``[diffusion]``, ``[initial]``, ``[output]``.  A ``#`` starts a comment
 anywhere on a line.  Every key is optional and defaults to the reference
 setup (three species at the boundary composition (0.15, 0.15, 0.15) with
-the standard exponents, kappa = eps = 1e-3, 64 cells on (0, 1)); keys are
-named exactly after the fields of the objects they populate.  Parsing
+the standard exponents, kappa = eps = 1e-3, 64 cells on (0, 1)).  The keys
+of ``[model]``, ``[solver]``, ``[mesh]`` and ``[diffusion]`` and their types
+are read off the fields of ``ModelParams``, ``SolverConfig``, ``RunConfig``
+and ``DiffusionMatrixSpec``; ``record_every`` sits in ``[output]``.  Parsing
 reports the offending line on malformed or duplicate entries and runs the
 full parameter-admissibility validation before any run starts.
 
@@ -26,7 +28,8 @@ import json
 import math
 import os
 import platform
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -49,13 +52,16 @@ __all__ = [
     "DIAGNOSTICS_HEADER",
 ]
 
-_SECTIONS = ("model", "solver", "mesh", "diffusion", "initial", "output")
-
 DIAGNOSTICS_HEADER = ("step,time,lyapunov,diss_dbeta_sq,diss_capillary,"
                       "diss_grad_dbeta,diss_eps_w,diss_proj_mu,min_species,"
                       "max_total,fp_iters")
 
-_PROFILES = ("equilibrium", "sine_perturbation", "step_profile")
+# Initial profiles and the [initial] keys each takes, with their types.
+_PROFILE_ARGS = {
+    "equilibrium": {},
+    "sine_perturbation": {"amplitude": float, "species_index": int},
+    "step_profile": {"left_state": tuple, "right_state": tuple},
+}
 
 
 @dataclass(frozen=True)
@@ -80,14 +86,38 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.initial_profile not in _PROFILES:
+        if self.initial_profile not in _PROFILE_ARGS:
             raise ArgumentError(
                 f"unknown initial profile {self.initial_profile!r}; "
-                f"expected one of {_PROFILES}")
-        if int(self.num_cells) != self.num_cells or self.num_cells < 2:
-            raise ArgumentError("num_cells must be an integer >= 2")
-        if not self.x_left < self.x_right:
-            raise ArgumentError("x_left must be less than x_right")
+                f"expected one of {tuple(_PROFILE_ARGS)}")
+        stray = [k for k in self.initial_args
+                 if k not in _PROFILE_ARGS[self.initial_profile]]
+        if stray:
+            raise ArgumentError(
+                f"initial profile '{self.initial_profile}' does not take key "
+                f"'{stray[0]}'")
+
+
+def _field_types(cls):
+    """{field name: type} of a dataclass, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+# Config sections and their {key: type}, in document order.  A key of
+# [model], [solver], [mesh] or [diffusion] is the field it sets, so its type
+# is that field's; record_every is a solver field set from [output].
+_SCHEMA = {
+    "model": _field_types(cst.ModelParams),
+    "solver": {k: t for k, t in _field_types(slv.SolverConfig).items()
+               if k != "record_every"},
+    "mesh": {k: t for k, t in _field_types(RunConfig).items()
+             if k in ("num_cells", "x_left", "x_right")},
+    "diffusion": _field_types(ent.DiffusionMatrixSpec),
+    "initial": {"profile": str, **{k: t for args in _PROFILE_ARGS.values()
+                                   for k, t in args.items()}},
+    "output": {"directory": str, "record_every": int},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +132,7 @@ def _strip_comment(line):
 def _collect_entries(text):
     """text -> {section: {key: (raw_value, line_number)}} with line-precise
     errors for unknown sections, stray lines and duplicate keys."""
-    entries = {name: {} for name in _SECTIONS}
+    entries = {name: {} for name in _SCHEMA}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -110,10 +140,10 @@ def _collect_entries(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            if name not in _SCHEMA:
                 raise ConfigParseError(
                     f"line {lineno}: unknown section [{name}]; expected one "
-                    f"of {', '.join('[' + s + ']' for s in _SECTIONS)}")
+                    f"of {', '.join('[' + s + ']' for s in _SCHEMA)}")
             section = name
             continue
         if "=" not in line:
@@ -180,31 +210,6 @@ def _take(section_entries, schema, section):
     return out
 
 
-_MODEL_SCHEMA = {
-    "n_species": int, "lam": float, "gamma": float, "gamma1": float,
-    "beta1": float, "beta2": float, "s_gamma": tuple, "kappa": float,
-    "eps": float, "rootfind_tol": float,
-}
-_SOLVER_SCHEMA = {
-    "fp_tol": float, "fp_max_iters": int, "homotopy_steps": int,
-    "linear_tol": float, "t_end": float,
-    "strict_entropy": bool,
-}
-_MESH_SCHEMA = {"num_cells": int, "x_left": float, "x_right": float}
-_DIFFUSION_SCHEMA = {"kind": str, "d0": float, "d1": float}
-_INITIAL_SCHEMA = {
-    "profile": str, "amplitude": float, "species_index": int,
-    "left_state": tuple, "right_state": tuple,
-}
-_OUTPUT_SCHEMA = {"directory": str, "record_every": int}
-
-_PROFILE_ARGS = {
-    "equilibrium": (),
-    "sine_perturbation": ("amplitude", "species_index"),
-    "step_profile": ("left_state", "right_state"),
-}
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse a configuration document into a validated RunConfig.
 
@@ -213,44 +218,29 @@ def parse_config(text: str) -> RunConfig:
     parameter admissibility conditions or any component precondition.
     """
     entries = _collect_entries(text)
-
-    model_kw = _take(entries["model"], _MODEL_SCHEMA, "model")
-    solver_kw = _take(entries["solver"], _SOLVER_SCHEMA, "solver")
-    mesh_kw = _take(entries["mesh"], _MESH_SCHEMA, "mesh")
-    diff_kw = _take(entries["diffusion"], _DIFFUSION_SCHEMA, "diffusion")
-    init_kw = _take(entries["initial"], _INITIAL_SCHEMA, "initial")
-    out_kw = _take(entries["output"], _OUTPUT_SCHEMA, "output")
+    model_kw, solver_kw, mesh_kw, diff_kw, init_kw, out_kw = (
+        _take(entries[section], schema, section)
+        for section, schema in _SCHEMA.items())
 
     if ("n_species" in model_kw and "s_gamma" not in model_kw
             and model_kw["n_species"] != 3):
         # Re-default the boundary composition to the requested width.
         model_kw["s_gamma"] = tuple([0.45 / model_kw["n_species"]]
                                     * model_kw["n_species"])
-
-    profile = init_kw.pop("profile", "equilibrium").lower()
-    if profile not in _PROFILES:
-        raise ConfigValidationError(
-            f"unknown initial profile {profile!r}; expected one of "
-            f"{_PROFILES}")
-    allowed = _PROFILE_ARGS[profile]
-    stray = [k for k in init_kw if k not in allowed]
-    if stray:
-        raise ConfigValidationError(
-            f"initial profile '{profile}' does not take key '{stray[0]}'")
+    if "record_every" in out_kw:
+        solver_kw["record_every"] = out_kw["record_every"]
+    run_kw = dict(mesh_kw)
+    if "profile" in init_kw:
+        run_kw["initial_profile"] = init_kw.pop("profile").lower()
+    if "directory" in out_kw:
+        run_kw["output_dir"] = out_kw["directory"]
 
     try:
         params = cst.ModelParams(**model_kw)
-        solver_cfg = slv.SolverConfig(record_every=out_kw.get("record_every", 1),
-                                      **solver_kw)
-        diffusion = ent.DiffusionMatrixSpec(**diff_kw)
         config = RunConfig(
-            params=params, solver=solver_cfg,
-            num_cells=mesh_kw.get("num_cells", 64),
-            x_left=mesh_kw.get("x_left", 0.0),
-            x_right=mesh_kw.get("x_right", 1.0),
-            diffusion=diffusion,
-            initial_profile=profile, initial_args=dict(init_kw),
-            output_dir=out_kw.get("directory", "out"))
+            params=params, solver=slv.SolverConfig(**solver_kw),
+            diffusion=ent.DiffusionMatrixSpec(**diff_kw),
+            initial_args=init_kw, **run_kw)
     except ArgumentError as exc:
         raise ConfigValidationError(str(exc)) from exc
 
@@ -281,23 +271,14 @@ def _fmt(value):
 
 def render_config(config: RunConfig) -> str:
     """Render a RunConfig to the text format; parse_config inverts this."""
-    p, s, d = config.params, config.solver, config.diffusion
-    lines = ["[model]"]
-    for name in _MODEL_SCHEMA:
-        lines.append(f"{name} = {_fmt(getattr(p, name))}")
-    lines.append("")
-    lines.append("[solver]")
-    for name in _SOLVER_SCHEMA:
-        lines.append(f"{name} = {_fmt(getattr(s, name))}")
-    lines.append("")
-    lines.append("[mesh]")
-    for name in _MESH_SCHEMA:
-        lines.append(f"{name} = {_fmt(getattr(config, name))}")
-    lines.append("")
-    lines.append("[diffusion]")
-    for name in _DIFFUSION_SCHEMA:
-        lines.append(f"{name} = {_fmt(getattr(d, name))}")
-    lines.append("")
+    lines = []
+    for section, source in (("model", config.params),
+                            ("solver", config.solver), ("mesh", config),
+                            ("diffusion", config.diffusion)):
+        lines.append(f"[{section}]")
+        for name in _SCHEMA[section]:
+            lines.append(f"{name} = {_fmt(getattr(source, name))}")
+        lines.append("")
     lines.append("[initial]")
     lines.append(f"profile = {config.initial_profile}")
     for key in _PROFILE_ARGS[config.initial_profile]:
@@ -373,10 +354,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         if math.isnan(v):

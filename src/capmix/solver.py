@@ -58,6 +58,10 @@ _MIXING_START = 0.25
 # map evaluations; wandering longer rarely helps, whereas Newton converges
 # fast from any iterate the acceleration has pulled into the basin.
 _ANDERSON_MAX = 40
+# Map evaluations one fixed-point solve may spend, Anderson and Newton
+# together, and the number of rungs of the homotopy ladder.
+_FP_MAX_ITERS = 100
+_HOMOTOPY_STEPS = 4
 _GMRES_RESTART = 20
 _NEWTON_MAX_OUTER = 8
 
@@ -74,8 +78,6 @@ class SolverConfig:
     """
 
     fp_tol: float = 1e-9
-    fp_max_iters: int = 100
-    homotopy_steps: int = 4
     linear_tol: float = 1e-10
     t_end: float = 0.05
     record_every: int = 1
@@ -84,8 +86,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.fp_tol > 0 and self.linear_tol > 0 and self.t_end > 0):
             raise ArgumentError("tolerances and t_end must be positive")
-        if self.fp_max_iters < 1 or self.homotopy_steps < 1 or self.record_every < 1:
-            raise ArgumentError("iteration counts must be at least 1")
+        if self.record_every < 1:
+            raise ArgumentError("record_every must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,7 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
     """Two-phase nonlinear solve at fixed sigma: Anderson-accelerated damped
     fixed-point iteration, then a Jacobian-free Newton finisher.
 
-    Returns (w, evals, residual, converged, mixing, refusals), with evals the
+    Returns (w, evals, residual, converged, refusals), with evals the
     total number of map evaluations and refusals the pair (count, last
     exception) of the evaluations that assembly or the linear solve refused;
     when an evaluation is refused before any is accepted, it returns w_init
@@ -277,7 +279,7 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
     best_x, best_g, best_res = None, None, math.inf
     res = math.inf
     rejects = 0
-    anderson_cap = min(_ANDERSON_MAX, cfg.fp_max_iters)
+    anderson_cap = min(_ANDERSON_MAX, _FP_MAX_ITERS)
     while evals < anderson_cap:
         try:
             g = apply_map(x)
@@ -296,7 +298,7 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
         f = g - x
         res = fem._lumped_l2(f, mesh)
         if res <= cfg.fp_tol:
-            return g, evals, res, True, mixing, (refused, last_refusal)
+            return g, evals, res, True, (refused, last_refusal)
         if res < best_res:
             best_res, best_x, best_g = res, x.copy(), g.copy()
             rejects = 0
@@ -330,17 +332,17 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
         x = x + mixing * f
 
     if best_x is not None:
-        polish_budget = cfg.fp_max_iters - evals
+        polish_budget = _FP_MAX_ITERS - evals
         if polish_budget > 0:
             w, res_p, ok, used = _newton_polish(
                 best_x, best_g, best_res, apply_map, mesh, cfg, polish_budget)
             if ok:
-                return w, evals, res_p, True, mixing, (refused, last_refusal)
+                return w, evals, res_p, True, (refused, last_refusal)
             if res_p < best_res:
                 best_x, best_res = w, res_p
     if best_res < res:
-        return best_x, evals, best_res, False, mixing, (refused, last_refusal)
-    return x, evals, res, False, mixing, (refused, last_refusal)
+        return best_x, evals, best_res, False, (refused, last_refusal)
+    return x, evals, res, False, (refused, last_refusal)
 
 
 def solve_time_step(s_prev: fem.NodalField, params, spec,
@@ -362,7 +364,7 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
     if grad_beta_prev is None:
         grad_beta_prev = fem.beta_gradient_field(s_prev, params)
     w_zero = np.zeros((mesh.num_nodes, n))
-    w, iters, res, ok, _, (refused, last_refusal) = _fixed_point(
+    w, iters, res, ok, (refused, last_refusal) = _fixed_point(
         s_prev, params, spec, solver_cfg, 1.0,
         w_zero if w_start is None else w_start, grad_beta_prev)
     total_iters = iters
@@ -370,10 +372,9 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
     if not ok:
         used_homotopy = True
         w = w_zero
-        sigmas = np.linspace(1.0 / solver_cfg.homotopy_steps, 1.0,
-                             solver_cfg.homotopy_steps)
+        sigmas = np.linspace(1.0 / _HOMOTOPY_STEPS, 1.0, _HOMOTOPY_STEPS)
         for sigma in sigmas:
-            w, iters, res, ok, _, refusals = _fixed_point(
+            w, iters, res, ok, refusals = _fixed_point(
                 s_prev, params, spec, solver_cfg, float(sigma), w,
                 grad_beta_prev)
             total_iters += iters

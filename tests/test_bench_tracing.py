@@ -41,7 +41,7 @@ def test_traced_result_slots_hold_their_counts():
     cfg = solver.SolverConfig()
     w0 = np.zeros((mesh.num_nodes, params.n_species))
 
-    # (w, evals, residual, converged, mixing): the tracer reads evals.
+    # (w, evals, residual, converged, refusals): the tracer reads evals.
     result = solver._fixed_point(s_prev, params, spec, cfg, 1.0, w0,
                                  grad_beta)
     assert type(result[1]) is int and result[1] == 1

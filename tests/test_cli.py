@@ -62,15 +62,15 @@ def test_run_writes_outputs(tmp_path, capsys):
         assert (out_dir / name).exists()
 
 
-def test_run_solver_failure_maps_to_exit_3(tmp_path, capsys):
+def test_run_solver_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_FP_MAX_ITERS", 2)
+    monkeypatch.setattr(solver, "_HOMOTOPY_STEPS", 2)
     path = tmp_path / "hard.cfg"
     path.write_text(f"""
     [model]
     kappa = 5e-2
     [solver]
     t_end = 0.1
-    fp_max_iters = 2
-    homotopy_steps = 2
     [mesh]
     num_cells = 8
     [initial]
@@ -105,12 +105,20 @@ def test_linear_solver_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", cfg]) == 3
 
 
-def test_run_reports_the_failing_step(tmp_path, capsys):
+def test_output_failure_maps_to_exit_3(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file where the output directory should go\n")
+    cfg = _write_config(tmp_path, taken)
+    assert cli.main(["run", cfg]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_reports_the_failing_step(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_FP_MAX_ITERS", 1)
     path = tmp_path / "stalls.cfg"
     path.write_text(f"""
     [solver]
     t_end = 5e-3
-    fp_max_iters = 1
     [mesh]
     num_cells = 16
     [initial]

@@ -208,7 +208,7 @@ def test_inversion_far_from_previous_total():
     c = logsumexp(w + log_yg, axis=1)
     total, f_val = ent._solve_total_many(c, prev, P0)
     assert np.all((total > 0.0) & (total < 1.0))
-    assert np.all(np.abs(f_val - c) <= P0.rootfind_tol * (1.0 + np.abs(c)))
+    assert np.all(np.abs(f_val - c) <= ent._ROOTFIND_TOL * (1.0 + np.abs(c)))
     # The public inverse runs the same root-find.  Rows spanning more than
     # about 745 underflow a species and are refused (see
     # test_recovery_refuses_an_underflowing_species), so it takes the rest.
@@ -288,11 +288,29 @@ def test_row_logsumexp_matches_scipy_bitwise():
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
-def test_inversion_stall_raises():
+def test_inversion_stall_raises(monkeypatch):
+    monkeypatch.setattr(ent, "_ROOTFIND_MAX_ITER", 1)
     c = np.array([1e3, -1e3])
     prev = np.array([0.5, 0.5])
     with pytest.raises(RootFindError):
-        ent._solve_total_many(c, prev, P0, max_iter=1)
+        ent._solve_total_many(c, prev, P0)
+
+
+def test_inversion_stalls_on_adjacent_doubles(monkeypatch):
+    # The root of f(S) = c for c ~ 1e100 lies nearer 1 than the spacing of
+    # doubles there; the bracket closes on adjacent doubles and the
+    # root-find stops at once instead of running to its iteration cap.
+    f_of_total = ent._f_of_total
+    evals = []
+
+    def counted(*args):
+        evals.append(args[0])
+        return f_of_total(*args)
+
+    monkeypatch.setattr(ent, "_f_of_total", counted)
+    with pytest.raises(RootFindError, match="stalled at residual"):
+        ent.states_from_w(np.full((1, 3), 1e100), np.array([0.45]), P0)
+    assert len(evals) < ent._ROOTFIND_MAX_ITER
 
 
 @settings(max_examples=40, deadline=None)

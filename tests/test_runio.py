@@ -74,13 +74,19 @@ def test_full_document_parses():
     ("kappa = 1e-3", "line 1: key outside of any section"),
     ("[model]\njust some words", "line 2: expected 'key = value'"),
     ("[model]\nkappa = fast", "not a valid float"),
-    ("[solver]\nfp_max_iters = 2.5", "not a valid int"),
+    ("[mesh]\nnum_cells = 2.5", "not a valid int"),
     ("[solver]\nstrict_entropy = maybe", "not a valid bool"),
     ("[model]\n= 3", "line 2: empty key"),
     ("[model]\nviscosity = 1", "unknown key 'viscosity' in [model]"),
     ("[model]\nkappa = 1e-3\nquadrature_tol = 1e-10",
      "line 3: unknown key 'quadrature_tol' in [model]"),
     ("[solver]\ndamping = 1.0", "line 2: unknown key 'damping' in [solver]"),
+    ("[solver]\nfp_max_iters = 100",
+     "line 2: unknown key 'fp_max_iters' in [solver]"),
+    ("[solver]\nt_end = 0.05\nhomotopy_steps = 4",
+     "line 3: unknown key 'homotopy_steps' in [solver]"),
+    ("[model]\nrootfind_tol = 1e-12",
+     "line 2: unknown key 'rootfind_tol' in [model]"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ConfigParseError) as err:

@@ -105,10 +105,11 @@ def test_solve_linear_defaults_to_the_run_tolerance():
     assert resid <= 1e-10 * np.linalg.norm(system.rhs)
 
 
-def test_run_errors_name_their_step():
+def test_run_errors_name_their_step(monkeypatch):
+    monkeypatch.setattr(solver, "_FP_MAX_ITERS", 1)
     mesh = fem.build_mesh(16)
     init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
-    cfg = solver.SolverConfig(t_end=0.005, fp_max_iters=1)
+    cfg = solver.SolverConfig(t_end=0.005)
     with pytest.raises(FixedPointError) as info:
         solver.run_simulation(init, P0, SPEC, cfg)
     message = str(info.value)
@@ -152,6 +153,35 @@ def test_ladder_reports_a_rung_refused_on_its_first_evaluation():
     refusal = info.value.__cause__.__cause__
     assert type(refusal) is LinearSolveError
     assert str(refusal) in message
+
+
+def test_newton_finisher_stops_when_its_budget_runs_out():
+    # On the linear map G(w) = w/2 (fixed point 0) Newton converges in three
+    # evaluations: two Jacobian probes and one trial.  A smaller budget runs
+    # out first, inside GMRES (budget 1) or at the trial (budget 2), and the
+    # finisher hands back its unchanged start, unconverged.
+    mesh = fem.build_mesh(4)
+    cfg = solver.SolverConfig()
+    x = np.full((mesh.num_nodes, 3), 1e-3)
+
+    def halve(w):
+        return 0.5 * w
+
+    for budget in (1, 2):
+        w, res, ok, used = solver._newton_polish(x, halve(x), 1.0, halve,
+                                                 mesh, cfg, budget)
+        assert (w is x, res, ok, used) == (True, 1.0, False, budget)
+    w, res, ok, used = solver._newton_polish(x, halve(x), 1.0, halve, mesh,
+                                             cfg, 5)
+    assert ok and used == 3 and res <= cfg.fp_tol
+    # On G(w) = w^2 from w = 0.1 the first Newton step is accepted without
+    # converging and spends the whole budget of 3: the finisher stops before
+    # its next step and returns the accepted iterate with its residual.
+    x = np.full((mesh.num_nodes, 3), 0.1)
+    w, res, ok, used = solver._newton_polish(x, x**2, 1.0, np.square, mesh,
+                                             cfg, 3)
+    assert not ok and used == 3
+    assert res == fem._lumped_l2(w**2 - w, mesh) and cfg.fp_tol < res < 1.0
 
 
 def test_equilibrium_step_is_bitwise_stationary():
