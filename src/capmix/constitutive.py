@@ -408,9 +408,13 @@ def validate_assumptions(params: ModelParams) -> AssumptionReport:
       5 < beta1,  beta1 <= gamma1,  gamma1 < gamma,
       gamma < beta1/2 + (5/6)(gamma1 - 2),
       5 < beta2,  beta2 <= lam,  lam < 3 beta2 - 10,
-    the computed p_gamma, p_lambda > 1 (which those clauses imply in exact
-    arithmetic), plus a sampled verification that pc' <= tau/a on a fine
-    interior grid.
+    and, once those hold, the computed p_gamma, p_lambda > 1 (which they
+    imply in exact arithmetic; see below).  beta1 <= gamma1 and
+    beta2 <= lam give S^-beta1 <= S^-gamma1 and (1-S)^-beta2 <= (1-S)^-lam
+    on (0, 1), so pc' <= tau/a holds pointwise for every accepted set.
+    ``solver.run_simulation`` refuses any rejected set with
+    PreconditionError, as ``runio.parse_config`` refuses it with
+    ConfigValidationError.
     """
     g, g1, b1 = params.gamma, params.gamma1, params.beta1
     lm, b2 = params.lam, params.beta2
@@ -445,16 +449,6 @@ def validate_assumptions(params: ModelParams) -> AssumptionReport:
               "computed p_gamma, p_lambda > 1")
     p = min(p_gamma, p_lambda)
     q = 2.0 * p / (1.0 + p) if p > -1.0 else math.nan
-
-    # Pointwise bound pc' <= tau/a, sampled on a fine interior grid.  Under the
-    # clauses above it holds with room to spare; the sample guards typos in
-    # hand-edited exponent sets.
-    if not clauses:
-        grid = np.linspace(1e-6, 1.0 - 1e-6, 10_001)
-        c = eval_coeffs(grid, params)
-        finite = np.isfinite(c.tau_over_a) & np.isfinite(c.pc_prime)
-        if not np.all(c.pc_prime[finite] <= c.tau_over_a[finite] * (1.0 + 1e-12)):
-            clauses.append("pc_prime <= tau_over_a (sampled)")
 
     return AssumptionReport(
         accepted=not clauses,

@@ -43,7 +43,6 @@ assembly), chord gradients for interpolated nodal quantities.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,7 +52,7 @@ from scipy.linalg import solveh_banded
 from . import constitutive as cst
 from . import entropy as ent
 from . import fem
-from .errors import ArgumentError
+from .errors import ArgumentError, PreconditionError
 
 __all__ = [
     "DiagnosticsRecord",
@@ -109,9 +108,15 @@ class EntropyCheckResult:
     weighted_dissipation: float
 
 
-@functools.lru_cache(maxsize=32)
-def _cached_assumptions(params):
-    return cst.validate_assumptions(params)
+def _admissible_exponents(params):
+    """The exponent report of an admissible parameter set.  Any other set is
+    refused with PreconditionError naming its violated clauses, so every
+    bound below may rely on p > 1 (hence a finite q in (1, 2))."""
+    rep = cst.validate_assumptions(params)
+    if not rep.accepted:
+        raise PreconditionError("parameter admissibility violated: "
+                                + "; ".join(rep.violated_clauses))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +219,12 @@ def _hminus1_sq(mesh, f_nodal):
     return float(u @ rhs)
 
 
-def _instantaneous_apriori(state, params, mesh, grad_beta):
+def _instantaneous_apriori(state, params, mesh, grad_beta, rep):
     """State-only bound quantities (suprema trackers and L^6/L^p integrals)
     and the Lyapunov value, from one evaluation of its two shares.
-    grad_beta is the beta-gradient memory attached to the state.  Returns
-    (quantities, lyapunov)."""
-    rep = _cached_assumptions(params)
+    grad_beta is the beta-gradient memory attached to the state, rep the
+    exponent report of the admissible params.  Returns (quantities,
+    lyapunov)."""
     m = fem.lumped_mass(mesh)
     totals = state.totals
     bulk, grad_beta_sq = _lyapunov_parts(state, params, mesh, grad_beta)
@@ -231,21 +236,21 @@ def _instantaneous_apriori(state, params, mesh, grad_beta):
         "alpha1_l6": float(np.sum(m * totals ** (6.0 * rep.alpha1)) ** (1.0 / 6.0)),
         "alpha2_l6": float(np.sum(m * (1.0 - totals) ** (6.0 * rep.alpha2)) ** (1.0 / 6.0)),
     }
-    if rep.p > 1.0:
-        a_vals = cst._mobility(np.clip(totals, 1e-300, 1.0 - 1e-16), params)
-        out["mobility_inv_p_int"] = float(np.sum(m * a_vals ** (-rep.p)))
-    else:
-        out["mobility_inv_p_int"] = math.inf
+    a_vals = cst._mobility(np.clip(totals, 1e-300, 1.0 - 1e-16), params)
+    out["mobility_inv_p_int"] = float(np.sum(m * a_vals ** (-rep.p)))
     return out, bulk + 0.5 * grad_beta_sq
 
 
 def initial_record(state: fem.NodalField, params, spec) -> DiagnosticsRecord:
     """Record for the initial state: no step has happened, so every step-scoped
     dissipation is zero by convention.  Seeds the beta-gradient memory from
-    the state itself."""
+    the state itself.  Refuses an inadmissible parameter set with
+    PreconditionError, as parsing a configuration refuses it."""
+    rep = _admissible_exponents(params)
     mesh = state.mesh
     grad_beta = fem.beta_gradient_field(state, params)
-    apriori, lyapunov = _instantaneous_apriori(state, params, mesh, grad_beta)
+    apriori, lyapunov = _instantaneous_apriori(state, params, mesh, grad_beta,
+                                               rep)
     apriori.update({"grad_dkbeta_lq_int": 0.0, "dt_hminus1_sq": 0.0})
     return DiagnosticsRecord(
         step=0, time=0.0,
@@ -261,22 +266,20 @@ def initial_record(state: fem.NodalField, params, spec) -> DiagnosticsRecord:
 
 
 def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
-                       params, spec, mesh: fem.Mesh, step=0, time=0.0,
-                       fp_iters=0, grad_beta_prev=None) -> DiagnosticsRecord:
+                       params, spec, mesh: fem.Mesh, grad_beta_prev, step=0,
+                       time=0.0, fp_iters=0) -> DiagnosticsRecord:
     """Evaluate every dissipation integral of one completed step with the
     assembly quadratures (lumped time terms, two-point Gauss flux terms).
 
-    grad_beta_prev is the beta-gradient memory the step was assembled with;
-    omitted, it is rebuilt from state_prev (exact for a first step from
-    rest).  The returned record's grad_beta is the advanced memory, both the
-    gradient share of its Lyapunov value and the history input of the next
-    step.
+    grad_beta_prev is the beta-gradient memory the step was assembled with
+    (the previous record's grad_beta).  The returned record's grad_beta is
+    the advanced memory, both the gradient share of its Lyapunov value and
+    the history input of the next step.
     """
+    rep = _admissible_exponents(params)
     kappa = params.kappa
     m = fem.lumped_mass(mesh)
     h = mesh.widths
-    if grad_beta_prev is None:
-        grad_beta_prev = fem.beta_gradient_field(state_prev, params)
     data = _step_qpoint_data(state_new, state_prev, params, spec,
                              grad_beta_prev)
 
@@ -302,14 +305,10 @@ def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
     diss_proj_mu = float(np.sum(h[:, None] * grad_pi**2))
 
     apriori, lyapunov = _instantaneous_apriori(state_new, params, mesh,
-                                               data["g_new"])
-    rep = _cached_assumptions(params)
+                                               data["g_new"], rep)
     # Backward difference of the beta-gradient memory, in L^q space.
-    q_exp = rep.q
-    apriori["grad_dkbeta_lq_int"] = (
-        float(np.sum(h * np.einsum("q,cq->c", fem._Q_W,
-                                   np.abs(d_t) ** q_exp)))
-        if np.isfinite(q_exp) else math.inf)
+    apriori["grad_dkbeta_lq_int"] = float(np.sum(
+        h * np.einsum("q,cq->c", fem._Q_W, np.abs(d_t) ** rep.q)))
     diff = (state_new.values - state_prev.values) / kappa
     apriori["dt_hminus1_sq"] = float(sum(
         _hminus1_sq(mesh, diff[:, i]) for i in range(diff.shape[1])))
@@ -364,7 +363,7 @@ def apriori_report(trajectory, params) -> dict:
     records = trajectory.diagnostics
     if not records:
         raise ArgumentError("trajectory has no diagnostics records")
-    rep = _cached_assumptions(params)
+    rep = _admissible_exponents(params)
     kappa = params.kappa
 
     def sup_of(key):
@@ -374,7 +373,7 @@ def apriori_report(trajectory, params) -> dict:
         return math.sqrt(sum(kappa * getattr(r, attr) for r in records[1:]))
 
     stepped = records[1:]
-    report = {
+    return {
         "sup_entropy_integral": sup_of("entropy_integral"),
         "sup_grad_beta": sup_of("grad_beta_l2"),
         "dkbeta_L2L2": time_l2("diss_dbeta_sq"),
@@ -394,14 +393,9 @@ def apriori_report(trajectory, params) -> dict:
                                        for r in stepped)),
         "exponents": {"alpha1": rep.alpha1, "alpha2": rep.alpha2,
                       "p": rep.p, "q": rep.q},
+        "grad_dkbeta_Lq": sum(kappa * r.apriori["grad_dkbeta_lq_int"]
+                              for r in stepped) ** (1.0 / rep.q),
     }
-    if np.isfinite(rep.q) and rep.q > 0:
-        report["grad_dkbeta_Lq"] = (
-            sum(kappa * r.apriori["grad_dkbeta_lq_int"] for r in stepped)
-            ** (1.0 / rep.q) if stepped else 0.0)
-    else:
-        report["grad_dkbeta_Lq"] = math.inf
-    return report
 
 
 def weak_residual(trajectory, params, spec, num_test_functions) -> float:
@@ -415,8 +409,11 @@ def weak_residual(trajectory, params, spec, num_test_functions) -> float:
     """
     states = trajectory.states
     times = trajectory.times
+    records = trajectory.diagnostics
     if len(states) < 2:
         raise ArgumentError("trajectory too short for a weak residual")
+    if not records:
+        raise ArgumentError("trajectory has no diagnostics records")
     if num_test_functions < 1:
         raise ArgumentError("need at least one test function")
     mesh = states[0].mesh
@@ -442,14 +439,11 @@ def weak_residual(trajectory, params, spec, num_test_functions) -> float:
         return np.clip(1.0 - np.abs(tk - peaks) / half, 0.0, 1.0)  # (M,)
 
     n = params.n_species
-    records = trajectory.diagnostics
     acc = np.zeros((n, num_test_functions, num_hats))
     for k in range(1, len(states)):
         dt = times[k] - times[k - 1]
         s_new, s_prev = states[k], states[k - 1]
-        g_prev = records[k - 1].grad_beta if records else None
-        if g_prev is None:
-            g_prev = fem.beta_gradient_field(s_prev, params)
+        g_prev = records[k - 1].grad_beta
         data = _step_qpoint_data(s_new, s_prev, params, spec, g_prev)
 
         # Time bracket: lumped inner product of the backward difference.

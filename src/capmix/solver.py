@@ -107,7 +107,6 @@ class Trajectory:
     states: list
     diagnostics: list
     params: object = None
-    spec: object = None
     config: SolverConfig = None
 
 
@@ -403,12 +402,14 @@ def run_simulation(initial: fem.NodalField, params, spec,
     """March round(t_end/kappa) implicit Euler steps from the initial state.
 
     Preconditions on the initial data (interior states strictly inside the
-    admissible set, boundary rows equal to the boundary composition) are
-    enforced before any stepping.  Each accepted step is budgeted and the
-    entropy inequality checked with tolerance 10 * fp_tol; strict mode turns
-    a violation into an abort.  Each step's solve starts from the entropy
-    variable the step before converged to.  A solver error of a step is
-    re-raised as the same type with the step and its time prefixed.
+    admissible set, boundary rows equal to the boundary composition) and on
+    the exponents (every clause of ``validate_assumptions``) are enforced
+    with PreconditionError before any stepping.  Each accepted step is
+    budgeted and the entropy inequality checked with tolerance 10 * fp_tol;
+    strict mode turns a violation into an abort.  Each step's solve starts
+    from the entropy variable the step before converged to.  A solver error
+    of a step is re-raised as the same type with the step and its time
+    prefixed.
     """
     mesh = initial.mesh
     try:
@@ -423,7 +424,7 @@ def run_simulation(initial: fem.NodalField, params, spec,
 
     rec0 = diag.initial_record(initial, params, spec)
     traj = Trajectory(times=[0.0], states=[initial], diagnostics=[rec0],
-                      params=params, spec=spec, config=solver_cfg)
+                      params=params, config=solver_cfg)
     l_prev = rec0.lyapunov
     s_prev = initial
     grad_beta = rec0.grad_beta

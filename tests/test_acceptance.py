@@ -1,6 +1,7 @@
 """Acceptance gate: twelve end-to-end criteria with pinned tolerances and
 wall-clock budgets.  Each test prints and records exactly one PASS/FAIL line
-(surfaced in the terminal summary by conftest.py).
+(surfaced in the terminal summary through conftest.py's
+``record_acceptance`` fixture).
 
 Round-trip accuracy note: the forward transform stores log(S_i/S) + f(S) in
 one double, so inversion accuracy is limited by the rounding unit of |f(S)|.
@@ -16,8 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
-
 from capmix import constitutive as cst
 from capmix import diagnostics as diag
 from capmix import entropy as ent
@@ -28,11 +27,11 @@ P0 = cst.default_params()
 SPEC = ent.DiffusionMatrixSpec()
 
 
-def _verdict(num, ok, detail, elapsed, budget):
+def _verdict(record, num, ok, detail, elapsed, budget):
     mark = "PASS" if ok else "FAIL"
     line = (f"criterion {num:02d}: {mark} — {detail} "
             f"[{elapsed:.2f}s / budget {budget:g}s]")
-    record_acceptance(line)
+    record(line)
     print(line)
     assert ok, line
 
@@ -68,7 +67,7 @@ def reference_run():
             "elapsed": time.perf_counter() - start}
 
 
-def test_criterion_01_assumption_validation():
+def test_criterion_01_assumption_validation(record_acceptance):
     start = time.perf_counter()
     report = cst.validate_assumptions(P0)
     ok = bool(report.accepted)
@@ -78,13 +77,13 @@ def test_criterion_01_assumption_validation():
     ok &= abs(report.q - 1.0211) <= 1e-3
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
-    _verdict(1, ok,
+    _verdict(record_acceptance, 1, ok,
              f"reference exponents accepted, alpha1={report.alpha1:.12g}, "
              f"alpha2={report.alpha2:.12g}, p={report.p:.6f}, "
              f"q={report.q:.6f}", elapsed, 1)
 
 
-def test_criterion_02_capillary_derivative_bound():
+def test_criterion_02_capillary_derivative_bound(record_acceptance):
     start = time.perf_counter()
     grid = np.linspace(0.0, 1.0, 10002)[1:-1]
     rng = np.random.default_rng(2024)
@@ -103,13 +102,13 @@ def test_criterion_02_capillary_derivative_bound():
         worst_quotient_drift = max(worst_quotient_drift, float(drift))
     elapsed = time.perf_counter() - start
     ok = violations == 0 and worst_quotient_drift <= 1e-12 and elapsed < 5.0
-    _verdict(2, ok,
+    _verdict(record_acceptance, 2, ok,
              f"pc' <= tau/a at {grid.size} grid points for "
              f"{len(tuples)} admissible tuples, {violations} violations",
              elapsed, 5)
 
 
-def test_criterion_03_transform_round_trip():
+def test_criterion_03_transform_round_trip(record_acceptance):
     start = time.perf_counter()
     rng = np.random.default_rng(333)
     m = 10_000
@@ -124,12 +123,12 @@ def test_criterion_03_transform_round_trip():
               float(np.max(np.abs(totals_back - totals))))
     elapsed = time.perf_counter() - start
     ok = err <= 1e-10 and elapsed < 10.0
-    _verdict(3, ok,
+    _verdict(record_acceptance, 3, ok,
              f"w <-> S round trip over {m} random states, "
              f"max error {err:.3e} (tol 1e-10)", elapsed, 10)
 
 
-def test_criterion_04_mobility_structure():
+def test_criterion_04_mobility_structure(record_acceptance):
     start = time.perf_counter()
     rng = np.random.default_rng(44)
     m = 1_000
@@ -152,13 +151,13 @@ def test_criterion_04_mobility_structure():
     elapsed = time.perf_counter() - start
     ok = (worst_sym <= 1e-12 and worst_eig >= -1e-12
           and worst_rank <= 1e-12 and elapsed < 5.0)
-    _verdict(4, ok,
+    _verdict(record_acceptance, 4, ok,
              f"mobility at {m} states: asymmetry {worst_sym:.2e}, "
              f"min eigenvalue {worst_eig:.2e}, rank-1 defect {worst_rank:.2e}",
              elapsed, 5)
 
 
-def test_criterion_05_projection_inequality():
+def test_criterion_05_projection_inequality(record_acceptance):
     start = time.perf_counter()
     rng = np.random.default_rng(55)
     total = 0
@@ -183,12 +182,12 @@ def test_criterion_05_projection_inequality():
             assert ent.jmz_inequality_check(a[k], b[k], v[k])
     elapsed = time.perf_counter() - start
     ok = violations == 0 and total == 100_000 and elapsed < 5.0
-    _verdict(5, ok,
+    _verdict(record_acceptance, 5, ok,
              f"projection inequality over {total} randomized instances "
              f"(n in 2..8), {violations} violations", elapsed, 5)
 
 
-def test_criterion_06_operator_spectrum():
+def test_criterion_06_operator_spectrum(record_acceptance):
     start = time.perf_counter()
     mesh = fem.build_mesh(16)
     s_prev = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
@@ -217,13 +216,13 @@ def test_criterion_06_operator_spectrum():
     elapsed = time.perf_counter() - start
     ok = (worst_asym <= 1e-12 and min_eig > 0.0 and min_quad >= -1e-10
           and elapsed < 5.0)
-    _verdict(6, ok,
+    _verdict(record_acceptance, 6, ok,
              f"16-cell operator: asymmetry {worst_asym:.2e}, smallest "
              f"eigenvalue {min_eig:.3e} > 0; eps=0 quadratic forms "
              f">= {min_quad:.2e}", elapsed, 5)
 
 
-def test_criterion_07_equilibrium_preservation():
+def test_criterion_07_equilibrium_preservation(record_acceptance):
     start = time.perf_counter()
     mesh = fem.build_mesh(64)
     eq = solver.equilibrium_initial(mesh, P0)
@@ -238,13 +237,14 @@ def test_criterion_07_equilibrium_preservation():
     elapsed = time.perf_counter() - start
     ok = (num_steps == 100 and drift <= 1e-9 and max_diss <= 1e-12
           and elapsed < 10.0)
-    _verdict(7, ok,
+    _verdict(record_acceptance, 7, ok,
              f"100 steps from the boundary composition: max drift "
              f"{drift:.2e} (tol 1e-9), max dissipation {max_diss:.2e} "
              f"(tol 1e-12)", elapsed, 10)
 
 
-def test_criterion_08_entropy_inequality_on_reference_run(reference_run):
+def test_criterion_08_entropy_inequality_on_reference_run(record_acceptance,
+                                                          reference_run):
     start = time.perf_counter()
     traj = reference_run["trajectory"]
     cfg = reference_run["config"]
@@ -261,13 +261,14 @@ def test_criterion_08_entropy_inequality_on_reference_run(reference_run):
     monotone = all(b <= a for a, b in zip(lyap, lyap[1:]))
     elapsed = time.perf_counter() - start + reference_run["elapsed"]
     ok = (len(records) == 51 and all_passed and monotone and elapsed < 60.0)
-    _verdict(8, ok,
+    _verdict(record_acceptance, 8, ok,
              f"reference run (64 cells, 50 steps): entropy check passed "
              f"every step (min margin {min_margin:.3e}), Lyapunov "
              f"{lyap[0]:.6f} -> {lyap[-1]:.6f} non-increasing", elapsed, 60)
 
 
-def test_criterion_09_positivity_on_reference_run(reference_run):
+def test_criterion_09_positivity_on_reference_run(record_acceptance,
+                                                  reference_run):
     start = time.perf_counter()
     traj = reference_run["trajectory"]
     min_species = min(float(st.values.min()) for st in traj.states)
@@ -277,13 +278,13 @@ def test_criterion_09_positivity_on_reference_run(reference_run):
     elapsed = time.perf_counter() - start
     ok = (min_species > 0.0 and max_total < 1.0
           and rec_min > 0.0 and rec_max < 1.0)
-    _verdict(9, ok,
+    _verdict(record_acceptance, 9, ok,
              f"reference run stays admissible: min S_i {min_species:.3e} > 0, "
              f"max total {max_total:.6f} < 1 (shares criterion 8's run)",
              elapsed, 60)
 
 
-def test_criterion_10_time_step_refinement():
+def test_criterion_10_time_step_refinement(record_acceptance):
     start = time.perf_counter()
     mesh = fem.build_mesh(64)
     initial = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1,
@@ -306,14 +307,15 @@ def test_criterion_10_time_step_refinement():
     stable = worst_ratio <= 2.0
     elapsed = time.perf_counter() - start
     ok = orders_ok and stable and elapsed < 300.0
-    _verdict(10, ok,
+    _verdict(record_acceptance, 10, ok,
              f"kappa ladder 1e-3 -> 2.5e-4: temporal order(s) "
              f"{['%.3f' % o for o in kd['orders']]} in [0.8, 1.2]; worst "
              f"bound-quantity ratio {worst_ratio:.3f} ({worst_key or 'none'})"
              f" <= 2", elapsed, 300)
 
 
-def test_criterion_11_weak_residual_refinement(reference_run):
+def test_criterion_11_weak_residual_refinement(record_acceptance,
+                                               reference_run):
     start = time.perf_counter()
     coarse = diag.weak_residual(reference_run["trajectory"], P0, SPEC, 3)
     params_fine = cst.default_params(kappa=5e-4)
@@ -325,13 +327,13 @@ def test_criterion_11_weak_residual_refinement(reference_run):
     fine = diag.weak_residual(traj_fine, params_fine, SPEC, 3)
     elapsed = time.perf_counter() - start
     ok = 0.0 < fine < coarse and elapsed < 180.0
-    _verdict(11, ok,
+    _verdict(record_acceptance, 11, ok,
              f"weak residual decreases under refinement: {coarse:.3e} "
              f"(64 cells, kappa 1e-3) -> {fine:.3e} (128 cells, kappa 5e-4)",
              elapsed, 180)
 
 
-def test_criterion_12_pressure_consistency_refinement():
+def test_criterion_12_pressure_consistency_refinement(record_acceptance):
     start = time.perf_counter()
     residuals = []
     for num_cells in (32, 64, 128):
@@ -347,6 +349,6 @@ def test_criterion_12_pressure_consistency_refinement():
     elapsed = time.perf_counter() - start
     decreasing = residuals[0] > residuals[1] > residuals[2] > 0.0
     ok = decreasing and elapsed < 30.0
-    _verdict(12, ok,
+    _verdict(record_acceptance, 12, ok,
              "pressure-consistency defect decreases 32 -> 64 -> 128 cells: "
              + " -> ".join(f"{r:.3e}" for r in residuals), elapsed, 30)

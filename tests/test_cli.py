@@ -3,6 +3,7 @@
 import pytest
 
 from capmix import cli, solver
+from capmix import entropy as ent
 from capmix.errors import EntropyViolationError, LinearSolveError
 
 
@@ -184,6 +185,34 @@ def test_study_writes_report(tmp_path, capsys):
     assert (out_dir / "study.json").exists()
 
 
+def test_study_reports_the_eps_ladder_and_its_flags(tmp_path, capsys):
+    out_dir = tmp_path / "study_out"
+    path = tmp_path / "study.cfg"
+    path.write_text(f"""
+    [model]
+    kappa = 2e-3
+    [solver]
+    t_end = 8e-3
+    [mesh]
+    num_cells = 8
+    [initial]
+    profile = step_profile
+    left_state = 0.3, 0.2, 0.1
+    right_state = 0.1, 0.1, 0.1
+    [output]
+    directory = {out_dir}
+    """)
+    code = cli.main(["study", str(path), "--kappas", "",
+                     "--epsilons", "1e-1,1e-3"])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert "kappa ladder" not in stdout
+    assert "eps ladder [0.1, 0.001]: 1 flags" in stdout
+    assert "bound-quantity flags: 1" in stdout
+    assert "  mobility_inv_p_int: eps 0.1 -> 0.001 ratio 2.32" in stdout
+    assert (out_dir / "study.json").exists()
+
+
 def test_study_rejects_malformed_ladder(tmp_path, capsys):
     cfg = _write_config(tmp_path, tmp_path / "out")
     assert cli.main(["study", cfg, "--kappas", "fast,slow"]) == 2
@@ -195,6 +224,15 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_reports_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(ent, "jmz_inequality_check", lambda *args: False)
+    assert cli.main(["selftest"]) == 2
+    out = capsys.readouterr().out
+    assert "  FAIL  projected quadratic-form lower bound" in out
+    assert out.count("FAIL") == 1
+    assert out.endswith("1 check(s) failed\n")
 
 
 def test_no_subcommand_is_usage_error():

@@ -281,6 +281,15 @@ def test_params_validation():
         cst.ModelParams(eps=-1e-6)
     with pytest.raises(ArgumentError):
         cst.ModelParams(s_gamma=(0.2, 0.2))
+    for name in ("lam", "gamma", "gamma1", "beta1", "beta2"):
+        with pytest.raises(ArgumentError, match=f"exponent {name} must be"):
+            cst.ModelParams(**{name: 0.0})
+    # The closed-form kernels divide by lam - 2 and gamma1 - 2.
+    for name in ("lam", "gamma1"):
+        kernel_edge = cst.ModelParams(**{name: 2.0})
+        for kernel in (cst.f0_integral, cst.entropy_E):
+            with pytest.raises(ArgumentError, match="lam > 2 and gamma1 > 2"):
+                kernel(0.5, kernel_edge)
     assert cst.ModelParams(eps=0.0).eps == 0.0
     assert P0.total_gamma == pytest.approx(0.45, abs=1e-15)
 

@@ -13,7 +13,7 @@ from capmix import diagnostics as diag
 from capmix import entropy as ent
 from capmix import fem
 from capmix import solver
-from capmix.errors import ArgumentError
+from capmix.errors import ArgumentError, PreconditionError
 
 P0 = cst.default_params()
 SPEC = ent.DiffusionMatrixSpec()
@@ -182,6 +182,25 @@ def test_weak_residual_argument_validation(short_run):
         diag.weak_residual(stub, P0, SPEC, 3)
     with pytest.raises(ArgumentError):
         diag.weak_residual(short_run, P0, SPEC, 0)
+    # The gradient memory each step was assembled with lives in the records.
+    bare = dataclasses.replace(short_run, diagnostics=[])
+    with pytest.raises(ArgumentError, match="no diagnostics records"):
+        diag.weak_residual(bare, P0, SPEC, 3)
+
+
+def test_reports_refuse_records_without_their_data(short_run):
+    bare = dataclasses.replace(short_run.diagnostics[1], check_constants={})
+    with pytest.raises(ArgumentError, match="no check constants"):
+        diag.check_entropy_step(1.0, 0.5, bare, P0.kappa, 0.0)
+    with pytest.raises(ArgumentError, match="no diagnostics records"):
+        diag.apriori_report(dataclasses.replace(short_run, diagnostics=[]),
+                            P0)
+
+
+def test_apriori_report_refuses_inadmissible_exponents(short_run):
+    # The bounds rest on the exponent clauses, p > 1 among them.
+    with pytest.raises(PreconditionError, match="lam < 3 beta2 - 10"):
+        diag.apriori_report(short_run, cst.default_params(lam=8.5))
 
 
 def test_gibbs_duhem_zero_at_constant_state():

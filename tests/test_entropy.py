@@ -160,6 +160,10 @@ def test_round_trip_batch():
 def test_batch_interface_validation():
     with pytest.raises(ArgumentError):
         ent.w_from_states(np.zeros((3, 2)), np.zeros(2), P0)
+    with pytest.raises(ArgumentError):
+        ent.states_from_w(np.zeros((3, 2)), np.full(2, 0.45), P0)
+    with pytest.raises(ArgumentError):
+        ent.states_from_w(np.zeros(3), np.full(3, 0.45), P0)
     with pytest.raises(DomainError):
         ent.w_from_states(np.full((2, 3), 0.4), np.full(2, 0.5), P0)
     with pytest.raises(DomainError):

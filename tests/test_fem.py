@@ -11,7 +11,8 @@ from capmix import constitutive as cst
 from capmix import entropy as ent
 from capmix import fem
 from capmix import solver
-from capmix.errors import ArgumentError, AssemblyError, DomainError
+from capmix.errors import (ArgumentError, AssemblyError, DomainError,
+                           RootFindError)
 
 P0 = cst.default_params()
 SPEC = ent.DiffusionMatrixSpec()
@@ -32,6 +33,16 @@ def test_build_mesh_basic():
 def test_build_mesh_validation(bad):
     with pytest.raises(ArgumentError):
         fem.build_mesh(*bad)
+
+
+@pytest.mark.parametrize("nodes, fragment", [
+    ([0.0, 1.0], "at least 2 cells"),
+    ([[0.0, 0.5, 1.0]], "at least 2 cells"),
+    ([0.0, 0.5, 0.5, 1.0], "strictly increasing"),
+])
+def test_mesh_validation(nodes, fragment):
+    with pytest.raises(ArgumentError, match=fragment):
+        fem.Mesh(np.array(nodes))
 
 
 def test_mesh_arrays_are_cached_read_only():
@@ -82,6 +93,8 @@ def test_nodal_field_validation():
     vals[0, 0] = 0.2  # boundary row off the boundary composition
     with pytest.raises(DomainError):
         fem.NodalField(vals, mesh).check_admissible(P0)
+    with pytest.raises(ArgumentError, match="species count"):
+        fem.constant_field(mesh, P0).check_admissible(P8)
 
 
 def test_field_norms():
@@ -255,6 +268,47 @@ def test_assembly_refuses_an_iterate_it_cannot_recover():
     with pytest.raises(AssemblyError) as info:
         fem.assemble_system(w, s_prev, P0, SPEC, 1.0, grad_beta)
     assert isinstance(info.value.__cause__, DomainError)
+
+
+@pytest.mark.parametrize("node_w", [
+    pytest.param((1e100, 0.0, 0.0), id="one-species-huge"),
+    pytest.param((-1e250,) * 3, id="all-species-hugely-negative"),
+])
+def test_assembly_refuses_an_iterate_whose_root_find_fails(node_w):
+    # Such an interior node stalls the total-saturation root-find.  Like a
+    # refused recovery, that is a refused trial iterate, not a crash.
+    mesh, s_prev, grad_beta = _sine_setup(8)
+    values = np.zeros((mesh.num_nodes, 3))
+    values[4] = node_w
+    w = fem.NodalField(values, mesh)
+    with pytest.raises(AssemblyError, match="state recovery failed") as info:
+        fem.assemble_system(w, s_prev, P0, SPEC, 1.0, grad_beta)
+    assert isinstance(info.value.__cause__, RootFindError)
+
+
+@pytest.mark.parametrize("poisoned, fragment", [
+    ("alpha", "in the operator"),          # one flux point's blocks
+    ("node_mobility", "in the operator"),  # one interior node's time term
+    ("grad_beta_prev", "in the load"),     # the carried gradient memory
+])
+def test_assembly_refuses_a_non_finite_coefficient(monkeypatch, poisoned,
+                                                   fragment):
+    mesh, s_prev, grad_beta = _sine_setup()
+    if poisoned == "grad_beta_prev":
+        grad_beta = grad_beta.copy()
+        grad_beta[3, 0] = np.nan
+    else:
+        coefficients = fem._point_coefficients
+
+        def with_a_nan(*args, **kwargs):
+            coef = coefficients(*args, **kwargs)
+            coef[poisoned][1] = np.nan
+            return coef
+
+        monkeypatch.setattr(fem, "_point_coefficients", with_a_nan)
+    w = fem.NodalField(np.zeros((mesh.num_nodes, 3)), mesh)
+    with pytest.raises(AssemblyError, match=fragment):
+        fem.assemble_system(w, s_prev, P0, SPEC, 1.0, grad_beta)
 
 
 def test_positive_semidefinite_without_regularisation():

@@ -2,6 +2,7 @@
 problem materialization, and the on-disk output contract."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -87,6 +88,8 @@ def test_full_document_parses():
      "line 3: unknown key 'homotopy_steps' in [solver]"),
     ("[model]\nrootfind_tol = 1e-12",
      "line 2: unknown key 'rootfind_tol' in [model]"),
+    ("[model]\ns_gamma = ,", "line 2: value for 's_gamma' (',') is not a "
+     "valid tuple: empty list"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ConfigParseError) as err:
@@ -270,3 +273,12 @@ def _computed_manifest(path):
         line for line in manifest["config"].splitlines(keepends=True)
         if not line.startswith("directory = "))
     return json.dumps(manifest, indent=2, sort_keys=True)
+
+
+def test_jsonable_spells_out_non_finite_floats():
+    # JSON has no NaN or infinity: a study's undefined order and an
+    # unbounded flag ratio are written as strings.
+    report = {"orders": (math.nan, 1.0), "ratio": np.float64(math.inf),
+              "low": -math.inf, "steps": 3}
+    assert runio._jsonable(report) == {
+        "orders": ["nan", 1.0], "ratio": "inf", "low": "-inf", "steps": 3}

@@ -2,7 +2,9 @@
 composition, Lyapunov monotonicity on a perturbed run, trajectory recording,
 initial-profile builders, and the refinement-study report."""
 
+import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from capmix import constitutive as cst
 from capmix import entropy as ent
 from capmix import fem
 from capmix import solver
-from capmix.errors import (ArgumentError, FixedPointError, LinearSolveError,
+from capmix.errors import (ArgumentError, EntropyViolationError,
+                           FixedPointError, LinearSolveError,
                            PreconditionError)
 
 P0 = cst.default_params()
@@ -44,7 +47,7 @@ def test_solve_linear_large_system_meets_its_residual():
     lap = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(nodes, nodes))
     mat = (sparse.kron(lap, sparse.eye(n)) + sparse.eye(n * nodes)).tocsr()
     rhs = np.random.default_rng(12).standard_normal(n * nodes)
-    system = fem.LinearSystem(mat, rhs, 1.0, n, nodes)
+    system = fem.LinearSystem(mat, rhs, n, nodes)
     x = solver.solve_linear(system, linear_tol=1e-10)
     assert np.linalg.norm(mat @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -63,9 +66,28 @@ def test_solve_linear_refuses_a_singular_system():
     n, nodes = 3, 3
     mat = sparse.block_diag([np.eye(n), np.zeros((n, n)), np.eye(n)],
                             format="csr")
-    system = fem.LinearSystem(mat, np.ones(n * nodes), 1.0, n, nodes)
+    system = fem.LinearSystem(mat, np.ones(n * nodes), n, nodes)
     with pytest.raises(LinearSolveError, match="factorization failed"):
         solver.solve_linear(system)
+
+
+def test_solve_linear_refuses_a_non_finite_load():
+    system = _assembled()
+    rhs = system.rhs.copy()
+    rhs[4] = np.nan
+    with pytest.raises(LinearSolveError, match="non-finite values"):
+        solver.solve_linear(dataclasses.replace(system, rhs=rhs))
+
+
+@pytest.mark.parametrize("field, value, fragment", [
+    ("fp_tol", 0.0, "must be positive"),
+    ("linear_tol", -1e-10, "must be positive"),
+    ("t_end", 0.0, "must be positive"),
+    ("record_every", 0, "at least 1"),
+])
+def test_solver_config_validation(field, value, fragment):
+    with pytest.raises(ArgumentError, match=fragment):
+        solver.SolverConfig(**{field: value})
 
 
 def test_solve_linear_refuses_an_unreachable_residual(monkeypatch):
@@ -184,6 +206,33 @@ def test_newton_finisher_stops_when_its_budget_runs_out():
     assert res == fem._lumped_l2(w**2 - w, mesh) and cfg.fp_tol < res < 1.0
 
 
+def test_anderson_phase_stops_after_five_blow_ups(monkeypatch):
+    # On the expansive linear map G(w) = c - 100 w every damped step from
+    # the best iterate w = 0 raises the defect more than tenfold.  The fifth
+    # such step, at evaluation 10, ends the accelerated phase, and the
+    # Newton finisher solves the map with the rest of the budget.
+    mesh = fem.build_mesh(4)
+    c = np.linspace(1.0, 2.0, 9)
+    monkeypatch.setattr(fem, "assemble_system",
+                        lambda w_star, *args, **kwargs: w_star.values[1:-1])
+    monkeypatch.setattr(solver, "solve_linear",
+                        lambda interior, tol: c - 100.0 * interior.ravel())
+    budgets = []
+    newton = solver._newton_polish
+
+    def spy(*args):
+        budgets.append(args[-1])
+        return newton(*args)
+
+    monkeypatch.setattr(solver, "_newton_polish", spy)
+    w, _, res, ok, refusals = solver._fixed_point(
+        fem.constant_field(mesh, P0), P0, SPEC, solver.SolverConfig(), 1.0,
+        np.zeros((mesh.num_nodes, 3)), None)
+    assert budgets == [solver._FP_MAX_ITERS - 10]
+    assert ok and res <= 1e-9 and refusals == (0, None)
+    assert np.allclose(w[1:-1].ravel(), c / 101.0, rtol=0.0, atol=1e-9)
+
+
 def test_equilibrium_step_is_bitwise_stationary():
     mesh = fem.build_mesh(32)
     eq = solver.equilibrium_initial(mesh, P0)
@@ -290,6 +339,52 @@ def test_run_rejects_inadmissible_initial_state():
         solver.run_simulation(bad, P0, SPEC, solver.SolverConfig())
 
 
+@pytest.mark.parametrize("override, clause", [
+    ({"beta1": 4.9}, "5 < beta1"),
+    # Also makes p <= 1, for which the a-priori bounds have no meaning.
+    ({"gamma": 6.4}, "gamma < beta1/2"),
+])
+def test_run_rejects_inadmissible_exponents(override, clause):
+    # A run refuses every parameter set that parse_config refuses.
+    params = cst.default_params(**override)
+    mesh = fem.build_mesh(8)
+    eq = solver.equilibrium_initial(mesh, params)
+    with pytest.raises(PreconditionError, match=clause):
+        solver.run_simulation(eq, params, SPEC,
+                              solver.SolverConfig(t_end=2e-3))
+
+
+@pytest.mark.parametrize("fault", [
+    pytest.param(lambda coef: coef.update(alpha=0.5 * coef["alpha"]),
+                 id="halved-operator-blocks"),
+    # The plain history coefficient a tau(S^prev)/kappa of fem's docstring.
+    pytest.param(lambda coef: coef.update(history=coef["a"]),
+                 id="plain-history-coefficient"),
+])
+def test_entropy_check_catches_a_coefficient_fault(monkeypatch, fault):
+    # A fault in a coefficient that only assembly reads (the budget reads
+    # a, pc', tau and f') breaks the entropy inequality at step 1 on 16
+    # cells (margins about -1.4e-3 and -4.2e-2).  Strict mode aborts there;
+    # lenient mode records the negative margin and runs on.
+    coefficients = fem._point_coefficients
+
+    def faulty(*args, **kwargs):
+        coef = coefficients(*args, **kwargs)
+        fault(coef)
+        return coef
+
+    monkeypatch.setattr(fem, "_point_coefficients", faulty)
+    mesh = fem.build_mesh(16)
+    init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
+    with pytest.raises(EntropyViolationError,
+                       match="violated at step 1: margin -"):
+        solver.run_simulation(init, P0, SPEC, solver.SolverConfig(t_end=2e-3))
+    traj = solver.run_simulation(
+        init, P0, SPEC, solver.SolverConfig(t_end=2e-3, strict_entropy=False))
+    assert [rec.step for rec in traj.diagnostics] == [0, 1, 2]
+    assert traj.diagnostics[1].entropy_margin < 0.0
+
+
 def test_run_rejects_horizon_shorter_than_one_step():
     mesh = fem.build_mesh(8)
     eq = solver.equilibrium_initial(mesh, P0)
@@ -350,6 +445,34 @@ def test_refinement_study_report_structure():
     assert len(ed["apriori"]) == 2
     for rep in kd["apriori"] + ed["apriori"]:
         assert "dkbeta_L2L2" in rep and "exponents" in rep
+
+
+def test_refinement_study_flags_growth_and_undefined_orders():
+    mesh = fem.build_mesh(8)
+    params = cst.default_params(kappa=2e-3)
+    cfg = solver.SolverConfig(t_end=8e-3)
+    # At rest every kappa run is the same, so no difference is positive and
+    # no order is defined.
+    eq = solver.equilibrium_initial(mesh, params)
+    report = solver.refinement_study(eq, params, SPEC, cfg,
+                                     kappa_list=[4e-3, 2e-3, 1e-3],
+                                     eps_list=[])
+    assert report["kappa"]["pairwise_l2"] == [0.0, 0.0]
+    assert len(report["kappa"]["orders"]) == 1
+    assert math.isnan(report["kappa"]["orders"][0])
+    # From a step profile, lowering eps from 1e-1 to 1e-3 more than doubles
+    # the time integral of a^-p: the one quantity flagged.
+    step = solver.step_profile_initial(mesh, params, (0.3, 0.2, 0.1),
+                                       (0.1, 0.1, 0.1))
+    report = solver.refinement_study(step, params, SPEC, cfg, kappa_list=[],
+                                     eps_list=[1e-1, 1e-3])
+    (flag,) = report["eps"]["flags"]
+    assert flag["quantity"] == "mobility_inv_p_int"
+    assert (flag["parameter"], flag["from_value"], flag["to_value"]) == (
+        "eps", 1e-1, 1e-3)
+    apriori = report["eps"]["apriori"]
+    assert flag["ratio"] == (apriori[1]["mobility_inv_p_int"]
+                             / apriori[0]["mobility_inv_p_int"]) > 2.0
 
 
 def test_refinement_study_requires_non_increasing_ladders():
