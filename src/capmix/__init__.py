@@ -51,8 +51,6 @@ from .fem import (
     beta_gradient_field,
     build_mesh,
     constant_field,
-    field_norms,
-    lumped_mass,
 )
 from .solver import (
     SolverConfig,
@@ -115,8 +113,6 @@ __all__ = [
     "constant_field",
     "assemble_system",
     "beta_gradient_field",
-    "field_norms",
-    "lumped_mass",
     # solver
     "SolverConfig",
     "StepStats",

@@ -207,7 +207,7 @@ def _cmd_selftest(args):
     field = solver.sine_perturbation_initial(mesh, params, amplitude=0.1)
     w0 = fem.NodalField(np.zeros((mesh.num_nodes, n)), mesh)
     system = fem.assemble_system(w0, field, params, dspec, 1.0)
-    dense = system.matrix.toarray()
+    dense = solver._csc_operator(system).toarray()
     sym = float(np.max(np.abs(dense - dense.T)))
     eig = float(np.linalg.eigvalsh(dense).min())
     check("assembled operator symmetric and positive definite",

@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from . import constitutive as cst
 from . import entropy as ent
@@ -204,19 +203,20 @@ def _step_qpoint_data(state_new, state_prev, params, spec, grad_beta_prev):
 
 
 def _hminus1_sq(mesh, f_nodal):
-    """Squared discrete H^-1 norm of a nodal density with zero boundary data:
-    solve the Dirichlet Poisson problem K u = M f and return u . (M f)."""
-    m = fem.lumped_mass(mesh)
-    rhs = (m * f_nodal)[1:-1]
-    if not np.any(rhs):
-        return 0.0
+    """Squared discrete H^-1 norms u . (M f) of the k columns of (num_nodes,
+    k) nodal densities, u solving the P1 Dirichlet problem K u = M f.
+
+    In 1d no solve is needed: with q the cell gradients of u, interior node
+    i reads q_{i-1} - q_i = (M f)_i, so q = q0 - R with R the cumulative
+    interior load (0 on the first cell), and u = 0 at both ends fixes
+    sum h q = 0, i.e. q0 = sum h R / sum h.  Then u . (M f) = sum h q^2.
+    """
     h = mesh.widths
-    main = 1.0 / h[:-1] + 1.0 / h[1:]
-    ab = np.zeros((2, main.size))
-    ab[0, 1:] = -1.0 / h[1:-1]
-    ab[1] = main
-    u = solveh_banded(ab, rhs, lower=False)
-    return float(u @ rhs)
+    load = mesh.lumped_masses[1:-1, None] * f_nodal[1:-1]
+    cum = np.zeros((h.size, load.shape[1]))
+    np.cumsum(load, axis=0, out=cum[1:])
+    q = (h @ cum) / h.sum() - cum
+    return h @ q**2
 
 
 def _instantaneous_apriori(state, params, mesh, grad_beta, rep):
@@ -225,7 +225,7 @@ def _instantaneous_apriori(state, params, mesh, grad_beta, rep):
     grad_beta is the beta-gradient memory attached to the state, rep the
     exponent report of the admissible params.  Returns (quantities,
     lyapunov)."""
-    m = fem.lumped_mass(mesh)
+    m = mesh.lumped_masses
     totals = state.totals
     bulk, grad_beta_sq = _lyapunov_parts(state, params, mesh, grad_beta)
     out = {
@@ -278,7 +278,7 @@ def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
     """
     rep = _admissible_exponents(params)
     kappa = params.kappa
-    m = fem.lumped_mass(mesh)
+    m = mesh.lumped_masses
     h = mesh.widths
     data = _step_qpoint_data(state_new, state_prev, params, spec,
                              grad_beta_prev)
@@ -310,8 +310,7 @@ def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
     apriori["grad_dkbeta_lq_int"] = float(np.sum(
         h * np.einsum("q,cq->c", fem._Q_W, np.abs(d_t) ** rep.q)))
     diff = (state_new.values - state_prev.values) / kappa
-    apriori["dt_hminus1_sq"] = float(sum(
-        _hminus1_sq(mesh, diff[:, i]) for i in range(diff.shape[1])))
+    apriori["dt_hminus1_sq"] = float(_hminus1_sq(mesh, diff).sum())
 
     return DiagnosticsRecord(
         step=step, time=time,
@@ -354,47 +353,66 @@ def check_entropy_step(l_prev, l_new, budget: DiagnosticsRecord, kappa,
 # Trajectory-level reports
 # ---------------------------------------------------------------------------
 
-def apriori_report(trajectory, params) -> dict:
-    """Aggregate the bound quantities over a trajectory.
+# Record quantities whose suprema the report takes.
+_SUPREMA = ("entropy_integral", "grad_beta_l2", "total_pow_gamma1_int",
+            "one_minus_total_pow_lam_int")
 
-    Suprema are taken over stored records; time integrals use the step kappa
-    per recorded step (exact for every-step recording).
-    """
-    records = trajectory.diagnostics
-    if not records:
+
+@dataclass(eq=False)
+class AprioriTotals:
+    """Running suprema over every record and time sums (kappa times each
+    step's integrand, added in step order) over every step of a run, the
+    steps a thinned trajectory (record_every > 1) leaves out included."""
+
+    sup: dict = field(default_factory=dict)
+    time_sum: dict = field(default_factory=dict)
+
+    def add(self, record: DiagnosticsRecord, kappa):
+        a = record.apriori
+        for key in _SUPREMA:
+            self.sup[key] = max(self.sup.get(key, a[key]), a[key])
+        if record.step == 0:
+            return
+        integrands = {  # {report key: this step's value}
+            "dkbeta_L2L2": record.diss_dbeta_sq,
+            "capillary_L2L2": record.diss_capillary,
+            "grad_dkbeta_L2L2": record.diss_grad_dbeta,
+            "eps_w_L2H1": record.diss_eps_w,
+            "proj_mu_L2L2": record.diss_proj_mu,
+            "alpha1_L2L6": a["alpha1_l6"] ** 2,
+            "alpha2_L2L6": a["alpha2_l6"] ** 2,
+            "mobility_inv_p_int": a["mobility_inv_p_int"],
+            "dt_Hminus1_L2": a["dt_hminus1_sq"],
+            "grad_dkbeta_Lq": a["grad_dkbeta_lq_int"]}
+        for key, value in integrands.items():
+            self.time_sum[key] = self.time_sum.get(key, 0.0) + kappa * value
+
+
+def apriori_report(trajectory, params) -> dict:
+    """Aggregate the bound quantities over every step of a run, from the
+    trajectory's running totals (``AprioriTotals``)."""
+    if not trajectory.diagnostics:
         raise ArgumentError("trajectory has no diagnostics records")
     rep = _admissible_exponents(params)
-    kappa = params.kappa
-
-    def sup_of(key):
-        return max(r.apriori[key] for r in records)
-
-    def time_l2(attr):
-        return math.sqrt(sum(kappa * getattr(r, attr) for r in records[1:]))
-
-    stepped = records[1:]
+    totals = trajectory.apriori_totals
+    sup, integral = totals.sup, totals.time_sum
     return {
-        "sup_entropy_integral": sup_of("entropy_integral"),
-        "sup_grad_beta": sup_of("grad_beta_l2"),
-        "dkbeta_L2L2": time_l2("diss_dbeta_sq"),
-        "capillary_L2L2": time_l2("diss_capillary"),
-        "grad_dkbeta_L2L2": time_l2("diss_grad_dbeta"),
-        "eps_w_L2H1": time_l2("diss_eps_w"),
-        "proj_mu_L2L2": time_l2("diss_proj_mu"),
-        "sup_total_pow_gamma1": sup_of("total_pow_gamma1_int"),
-        "sup_one_minus_total_pow_lam": sup_of("one_minus_total_pow_lam_int"),
-        "alpha1_L2L6": math.sqrt(sum(kappa * r.apriori["alpha1_l6"] ** 2
-                                     for r in stepped)),
-        "alpha2_L2L6": math.sqrt(sum(kappa * r.apriori["alpha2_l6"] ** 2
-                                     for r in stepped)),
-        "mobility_inv_p_int": sum(kappa * r.apriori["mobility_inv_p_int"]
-                                  for r in stepped),
-        "dt_Hminus1_L2": math.sqrt(sum(kappa * r.apriori["dt_hminus1_sq"]
-                                       for r in stepped)),
+        "sup_entropy_integral": sup["entropy_integral"],
+        "sup_grad_beta": sup["grad_beta_l2"],
+        "dkbeta_L2L2": math.sqrt(integral["dkbeta_L2L2"]),
+        "capillary_L2L2": math.sqrt(integral["capillary_L2L2"]),
+        "grad_dkbeta_L2L2": math.sqrt(integral["grad_dkbeta_L2L2"]),
+        "eps_w_L2H1": math.sqrt(integral["eps_w_L2H1"]),
+        "proj_mu_L2L2": math.sqrt(integral["proj_mu_L2L2"]),
+        "sup_total_pow_gamma1": sup["total_pow_gamma1_int"],
+        "sup_one_minus_total_pow_lam": sup["one_minus_total_pow_lam_int"],
+        "alpha1_L2L6": math.sqrt(integral["alpha1_L2L6"]),
+        "alpha2_L2L6": math.sqrt(integral["alpha2_L2L6"]),
+        "mobility_inv_p_int": integral["mobility_inv_p_int"],
+        "dt_Hminus1_L2": math.sqrt(integral["dt_Hminus1_L2"]),
         "exponents": {"alpha1": rep.alpha1, "alpha2": rep.alpha2,
                       "p": rep.p, "q": rep.q},
-        "grad_dkbeta_Lq": sum(kappa * r.apriori["grad_dkbeta_lq_int"]
-                              for r in stepped) ** (1.0 / rep.q),
+        "grad_dkbeta_Lq": integral["grad_dkbeta_Lq"] ** (1.0 / rep.q),
     }
 
 
@@ -416,10 +434,17 @@ def weak_residual(trajectory, params, spec, num_test_functions) -> float:
         raise ArgumentError("trajectory has no diagnostics records")
     if num_test_functions < 1:
         raise ArgumentError("need at least one test function")
+    # Each record pairs with the one before it as one step of the scheme.
+    for before, after in zip(records, records[1:]):
+        if after.step != before.step + 1:
+            raise ArgumentError(
+                f"weak_residual needs every step recorded; the records skip "
+                f"from step {before.step} to {after.step} (stride "
+                f"{after.step - before.step})")
     mesh = states[0].mesh
     nodes = mesh.nodes
     length = mesh.x_right - mesh.x_left
-    m_lump = fem.lumped_mass(mesh)
+    m_lump = mesh.lumped_masses
     h = mesh.widths
     t_end = times[-1]
 

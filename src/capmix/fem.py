@@ -39,19 +39,17 @@ definition in ``_point_coefficients``, which the diagnostics module reuses
 with the same interpolation/recovery helpers, so the dissipation budget and
 the weak residual see the identical quadrature and fluxes as assembly; at
 the nodes assembly asks it only for the mobility that the time term needs.
-The operator is stored as CSC: its index pattern depends only on the number
-of interior nodes and species and is built once per pair, and each
-assembly gathers its stacked node blocks into the data array.  A mesh
-computes its cell widths and lumped masses once.
+Assembly hands the operator on as the stack of its (n, n) node blocks, the
+form it builds it in; the storage a solve needs (CSC for the sparse LU) is
+the solver's business.  A mesh computes its cell widths and lumped masses
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from . import constitutive as cst
 from . import entropy as ent
@@ -65,8 +63,6 @@ __all__ = [
     "constant_field",
     "assemble_system",
     "beta_gradient_field",
-    "field_norms",
-    "lumped_mass",
 ]
 
 # Two-point Gauss rule on the reference cell [0,1].
@@ -76,10 +72,11 @@ _Q_W = np.array([0.5, 0.5])  # weights relative to cell width
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Uniform 1d mesh on (x_left, x_right) with nodes at cell endpoints.
+    """1d mesh on (x_left, x_right) with nodes at cell endpoints.
 
-    The nodes are a read-only copy; the cell widths and the lumped nodal
-    masses are computed once, read-only, because every assembly uses them.
+    The nodes are a read-only copy; the cell ``widths`` and the trapezoidal
+    (lumped) nodal masses ``lumped_masses`` are computed once, read-only,
+    because every assembly uses them.
     """
 
     nodes: np.ndarray
@@ -94,8 +91,8 @@ class Mesh:
         masses = np.zeros(arr.size)
         masses[:-1] += 0.5 * widths
         masses[1:] += 0.5 * widths
-        for name, value in (("nodes", arr), ("_widths", widths),
-                            ("_lumped_masses", masses)):
+        for name, value in (("nodes", arr), ("widths", widths),
+                            ("lumped_masses", masses)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -106,16 +103,6 @@ class Mesh:
     @property
     def num_cells(self):
         return self.nodes.size - 1
-
-    @property
-    def widths(self):
-        return self._widths
-
-    @property
-    def lumped_masses(self):
-        """Trapezoidal (lumped) nodal masses, read-only; ``lumped_mass``
-        returns a writable copy."""
-        return self._lumped_masses
 
     @property
     def x_left(self):
@@ -179,44 +166,24 @@ def constant_field(mesh: Mesh, params) -> NodalField:
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Sparse symmetric system over interior degrees of freedom (node-major:
-    unknown (node, species) at index node*n + species).  The matrix is block
-    tridiagonal with one (n, n) block per node pair, stored as CSC; being
-    bitwise symmetric, its CSC arrays are also its CSR arrays.  Its index
-    arrays are shared by every system of the same size and read-only."""
+    """Symmetric block-tridiagonal system over the interior degrees of
+    freedom (node-major: unknown (node, species) at index node*n + species).
 
-    matrix: sparse.csc_matrix
+    blocks is the (num_interior, 3, n, n) stack of node blocks: block row p
+    holds the blocks of columns p-1, p and p+1 at [p, 0..2].  The outer
+    blocks of the first and last rows, [0, 0] and [-1, 2], lie outside the
+    operator and are zero.  The operator is bitwise symmetric: blocks[p, 2]
+    is the transpose of blocks[p+1, 0], and each diagonal block is
+    symmetric."""
+
+    blocks: np.ndarray
     rhs: np.ndarray
-    n_species: int
-    num_interior: int
-
-
-def lumped_mass(mesh: Mesh) -> np.ndarray:
-    """Trapezoidal (lumped) nodal masses, all nodes (a writable copy)."""
-    return mesh.lumped_masses.copy()
 
 
 def _lumped_l2(vv, mesh: Mesh) -> float:
-    """Mass-lumped L2 norm of (num_nodes, k) data: the ``l2`` entry of
-    ``field_norms``, without the seminorm (the fixed-point defect norm)."""
+    """Mass-lumped L2 norm of (num_nodes, k) data (the fixed-point defect
+    norm)."""
     return float(np.sqrt(np.sum(mesh.lumped_masses[:, None] * vv**2)))
-
-
-def field_norms(field, mesh: Mesh) -> dict:
-    """Mass-lumped L2 norm and broken H1 seminorm of nodal data.
-
-    Accepts (num_nodes,) scalar or (num_nodes, k) vector data; vector data is
-    reduced over components inside the norms.
-    """
-    v = np.asarray(field, dtype=float)
-    if v.shape[0] != mesh.num_nodes or v.ndim > 2:
-        raise ArgumentError("field size does not match mesh")
-    vv = v if v.ndim == 2 else v[:, None]
-    l2 = _lumped_l2(vv, mesh)
-    h = mesh.widths
-    grads = (vv[1:] - vv[:-1]) / h[:, None]
-    h1 = float(np.sqrt(np.sum(h[:, None] * grads**2)))
-    return {"l2": l2, "h1_semi": h1}
 
 
 # ---------------------------------------------------------------------------
@@ -330,33 +297,6 @@ def _coefficient_blocks(w_star, s_prev, params, spec):
             s[nq:], coef["node_mobility"])
 
 
-@lru_cache(maxsize=16)
-def _operator_pattern(ni, n):
-    """CSC pattern of the block-tridiagonal operator over ni interior nodes
-    with (n, n) blocks, and the gather of its data from the stacked blocks.
-
-    Block row p holds the blocks of columns p-1, p, p+1 at [p, 0..2] of an
-    (ni, 3, n, n) stack; the first and last rows have no outer neighbour.
-    The pattern lists each scalar row's entries by increasing column, as
-    CSR does.  The operator is bitwise symmetric, so these CSR arrays are
-    its CSC arrays.  Returns read-only (gather, indices, indptr).
-    """
-    # Scalar row (p, i) lists its blocks b, each by columns j.
-    p, i, b, j = np.ix_(np.arange(ni), np.arange(n), np.arange(3),
-                        np.arange(n))
-    col_block = p + b - 1
-    shape = (ni, n, 3, n)
-    keep = np.broadcast_to((col_block >= 0) & (col_block < ni), shape)
-    gather = np.broadcast_to(((p * 3 + b) * n + i) * n + j, shape)[keep]
-    indices = np.broadcast_to(col_block * n + j, shape)[keep]
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=(2, 3)).ravel())])
-    arrays = (gather.astype(np.intp), indices.astype(np.intc),
-              indptr.astype(np.intc))
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
 def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
                     sigma, grad_beta_prev=None) -> LinearSystem:
     """Assemble the linearised operator and load at the iterate w_star.
@@ -434,15 +374,11 @@ def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
     # Block tridiagonal over the interior nodes p = 0..ni-1 (node p+1), whose
     # left and right cells are p and p+1: block row p holds -stiff[p], the
     # diagonal (mass_p + stiff[p+1]) + stiff[p] and -stiff[p+1].  The first
-    # and last rows have no outer neighbour, so their outer block is dropped
-    # by the gather of _operator_pattern.
+    # and last rows have no outer neighbour (their outer cell touches the
+    # boundary node, where w = 0), so those two blocks are zero.
     stiff = c_bar / h[:, None, None]  # (nc, n, n)
-    ni = nn - 2
     blocks = np.stack([-stiff[:-1], (mass + stiff[1:]) + stiff[:-1],
                        -stiff[1:]], axis=1)  # (ni, 3, n, n)
-    gather, indices, indptr = _operator_pattern(ni, n)
-    mat = sparse.csc_matrix((blocks.ravel()[gather], indices, indptr),
-                            shape=(ni * n, ni * n))
-
-    rhs = load[1:-1].ravel()
-    return LinearSystem(mat, rhs, n, ni)
+    blocks[0, 0] = 0.0
+    blocks[-1, 2] = 0.0
+    return LinearSystem(blocks, load[1:-1].ravel())

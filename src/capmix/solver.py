@@ -2,8 +2,11 @@
 
 Each step solves the nonlinear system for the entropy variables w by
 repeated linearisation: assemble the operator and load at the current
-iterate, solve the symmetric positive definite sparse system, and iterate
-until the lumped-L2 defect norm drops below fp_tol.  The plain damped
+iterate, solve the symmetric positive definite block-tridiagonal system,
+and iterate until the lumped-L2 defect norm drops below fp_tol.  This module
+owns the linear algebra of the step: assembly hands over the operator's
+node blocks, and ``solve_linear`` gathers them into CSC, factorises once
+with a sparse LU and checks the residual once.  The plain damped
 update is Anderson-accelerated, because the coefficient feedback makes the
 bare map expansive at practical time steps; with an empty history the
 update is the plain damped step, so w* = 0 remains the exact one-shot
@@ -26,8 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from . import diagnostics as diag
@@ -103,44 +108,77 @@ class StepStats:
 
 @dataclass(eq=False)
 class Trajectory:
+    """A run's records (every record_every-th step, the first and the last)
+    and its a-priori totals, accumulated over every step."""
+
     times: list
     states: list
     diagnostics: list
     params: object = None
     config: SolverConfig = None
+    apriori_totals: diag.AprioriTotals = None
+
+
+@lru_cache(maxsize=16)
+def _operator_pattern(ni, n):
+    """CSC pattern of the block-tridiagonal operator over ni interior nodes
+    with (n, n) blocks, and the gather of its data from the block stack.
+
+    Block row p holds the blocks of columns p-1, p, p+1 at [p, 0..2] of an
+    (ni, 3, n, n) stack; the first and last rows have no outer neighbour.
+    The pattern lists each scalar row's entries by increasing column, as
+    CSR does.  Precondition: the operator is bitwise symmetric (as
+    ``fem.assemble_system`` builds it), so these CSR arrays are also its
+    CSC arrays; for any other stack the gather yields the transpose.
+    Returns read-only (gather, indices, indptr).
+    """
+    # Scalar row (p, i) lists its blocks b, each by columns j.
+    p, i, b, j = np.ix_(np.arange(ni), np.arange(n), np.arange(3),
+                        np.arange(n))
+    col_block = p + b - 1
+    shape = (ni, n, 3, n)
+    keep = np.broadcast_to((col_block >= 0) & (col_block < ni), shape)
+    gather = np.broadcast_to(((p * 3 + b) * n + i) * n + j, shape)[keep]
+    indices = np.broadcast_to(col_block * n + j, shape)[keep]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=(2, 3)).ravel())])
+    arrays = (gather.astype(np.intp), indices.astype(np.intc),
+              indptr.astype(np.intc))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _csc_operator(system: fem.LinearSystem) -> csc_matrix:
+    """The operator of an assembled system gathered into CSC; its index
+    arrays are shared by every system of its size and read-only."""
+    ni, _, n, _ = system.blocks.shape
+    gather, indices, indptr = _operator_pattern(ni, n)
+    return csc_matrix((system.blocks.ravel()[gather], indices, indptr),
+                      shape=(ni * n, ni * n))
 
 
 def solve_linear(system: fem.LinearSystem,
                  linear_tol=SolverConfig.linear_tol) -> np.ndarray:
     """Solve the assembled SPD system to a verified relative residual.
 
-    A sparse LU factorisation followed by up to three steps of iterative
-    refinement; the achieved residual is checked against linear_tol times
-    the load norm.  linear_tol defaults to the run configuration's.
+    Gathers the node blocks into CSC, factorises them once with a sparse
+    LU, solves, and checks the achieved residual ||Ax - b|| once against
+    linear_tol times the load norm ||b||.  linear_tol defaults to the run
+    configuration's.  Raises LinearSolveError on a failed factorisation, a
+    non-finite solution or a residual above the allowed one.
     """
     rhs = system.rhs
     if not rhs.any():
         return np.zeros_like(rhs)
-    mat = system.matrix
+    mat = _csc_operator(system)
     allowed = linear_tol * float(np.linalg.norm(rhs))
     try:
-        # The assembled operator is CSC already; tocsc() then returns it
-        # as is.
-        lu = splu(mat.tocsc())
-        x = lu.solve(rhs)
-        # Iterative refinement squeezes out factorisation error down to the
-        # rounding floor of the residual evaluation itself; the last residual
-        # evaluated is the one checked below.
-        for refinements in range(4):
-            r = rhs - mat @ x
-            resid = float(np.linalg.norm(r))
-            if resid <= allowed or refinements == 3:
-                break
-            x += lu.solve(r)
+        x = splu(mat).solve(rhs)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
     if not np.isfinite(x).all():
         raise LinearSolveError("linear solve produced non-finite values")
+    resid = float(np.linalg.norm(rhs - mat @ x))
     if resid > allowed:
         raise LinearSolveError(
             f"linear solve residual {resid:.3e} exceeds "
@@ -423,8 +461,10 @@ def run_simulation(initial: fem.NodalField, params, spec,
         raise ArgumentError("t_end must cover at least one time step")
 
     rec0 = diag.initial_record(initial, params, spec)
+    totals = diag.AprioriTotals()
+    totals.add(rec0, kappa)
     traj = Trajectory(times=[0.0], states=[initial], diagnostics=[rec0],
-                      params=params, config=solver_cfg)
+                      params=params, config=solver_cfg, apriori_totals=totals)
     l_prev = rec0.lyapunov
     s_prev = initial
     grad_beta = rec0.grad_beta
@@ -449,6 +489,7 @@ def run_simulation(initial: fem.NodalField, params, spec,
             raise EntropyViolationError(
                 f"entropy inequality violated at step {k}: "
                 f"margin {check.margin:.6e}")
+        totals.add(record, kappa)
         if k % solver_cfg.record_every == 0 or k == num_steps:
             traj.times.append(k * kappa)
             traj.states.append(s_new)
@@ -517,7 +558,7 @@ def _total_density_l2_diff(times_coarse, totals_coarse, times_fine,
                            totals_fine, mesh, kappa_coarse):
     """L2(Omega x (0,T)) distance of two total-density trajectories on the
     same mesh, linearly interpolating the finer run to the coarser times."""
-    m = fem.lumped_mass(mesh)
+    m = mesh.lumped_masses
     tf = np.asarray(times_fine)
     acc = 0.0
     for t, row in zip(times_coarse[1:], totals_coarse[1:]):

@@ -199,7 +199,7 @@ def test_criterion_06_operator_spectrum(record_acceptance):
                    0.05 * rng.standard_normal((mesh.num_nodes, 3))):
         w = fem.NodalField(w_vals, mesh)
         system = fem.assemble_system(w, s_prev, P0, SPEC, 1.0, grad_beta)
-        dense = system.matrix.toarray()
+        dense = solver._csc_operator(system).toarray()
         worst_asym = max(worst_asym, float(np.max(np.abs(dense - dense.T))))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(dense).min()))
 
@@ -207,7 +207,7 @@ def test_criterion_06_operator_spectrum(record_acceptance):
     s_prev0 = solver.sine_perturbation_initial(mesh, params0, amplitude=0.1)
     w = fem.NodalField(0.05 * rng.standard_normal((mesh.num_nodes, 3)), mesh)
     system0 = fem.assemble_system(w, s_prev0, params0, SPEC, 1.0)
-    dense0 = system0.matrix.toarray()
+    dense0 = solver._csc_operator(system0).toarray()
     min_quad = np.inf
     for _ in range(300):
         vec = rng.standard_normal(dense0.shape[0])

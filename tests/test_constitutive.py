@@ -5,11 +5,13 @@ closed forms (power-law coefficients, the kernel primitives A/B, and direct
 quadrature of tau for beta) and are frozen here.
 """
 
+import ast
 import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +360,25 @@ print(*sys.modules)
     unused = ("scipy.integrate", "scipy.optimize", "scipy.interpolate",
               "scipy.special")
     assert [m for m in out if m.startswith(unused)] == []
+
+
+def test_only_the_solver_and_runio_import_scipy():
+    # The step's linear algebra has one owner: assembly hands node blocks to
+    # solver.solve_linear, and runio stamps scipy's version on the manifest.
+    # No other module may import scipy.
+    src = Path(cst.__file__).parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"solver.py", "runio.py"}
 
 
 def valid_exponents(draw):

@@ -150,6 +150,51 @@ def test_apriori_report_aggregates(short_run):
                                                      abs=1e-12)
 
 
+def test_apriori_report_does_not_depend_on_the_recording_stride():
+    # Thinned recording keeps fewer records, but the report integrates and
+    # takes suprema over every step of the run, in the same order.
+    mesh = fem.build_mesh(16)
+    init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
+    reports = {}
+    for stride in (1, 2, 5):
+        cfg = solver.SolverConfig(t_end=0.01, record_every=stride)
+        traj = solver.run_simulation(init, P0, SPEC, cfg)
+        assert len(traj.diagnostics) == 10 // stride + 1
+        reports[stride] = diag.apriori_report(traj, P0)
+    assert reports[2] == reports[1]
+    assert reports[5] == reports[1]
+    assert reports[1]["mobility_inv_p_int"] > 2.9
+
+
+def test_weak_residual_refuses_thinned_records():
+    mesh = fem.build_mesh(16)
+    init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
+    cfg = solver.SolverConfig(t_end=5e-3, record_every=2)
+    traj = solver.run_simulation(init, P0, SPEC, cfg)
+    with pytest.raises(ArgumentError, match=r"from step 0 to 2 \(stride 2\)"):
+        diag.weak_residual(traj, P0, SPEC, 3)
+
+
+def test_hminus1_norm_is_the_dirichlet_poisson_energy():
+    # u . (M f) with K u = M f solved densely, on a non-uniform mesh, for
+    # several load columns at once.
+    rng = np.random.default_rng(17)
+    nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, 29)), [2.0]])
+    mesh = fem.Mesh(nodes)
+    f = rng.standard_normal((mesh.num_nodes, 4))
+    f[:, 3] = 1.0
+    h = mesh.widths
+    stiff = (np.diag(1.0 / h[:-1] + 1.0 / h[1:])
+             - np.diag(1.0 / h[1:-1], 1) - np.diag(1.0 / h[1:-1], -1))
+    load = mesh.lumped_masses[1:-1, None] * f[1:-1]
+    expected = np.einsum("ik,ik->k", np.linalg.solve(stiff, load), load)
+    got = diag._hminus1_sq(mesh, f)
+    assert got.shape == (4,)
+    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+    zero = diag._hminus1_sq(mesh, np.zeros((mesh.num_nodes, 2)))
+    assert np.array_equal(zero, np.zeros(2))
+
+
 def test_weak_residual_shrinks_under_refinement():
     results = {}
     for num_cells in (16, 32):

@@ -55,16 +55,12 @@ def test_mesh_arrays_are_cached_read_only():
     for arr in (mesh.nodes, mesh.widths, mesh.lumped_masses):
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    masses = fem.lumped_mass(mesh)
-    assert masses is not mesh.lumped_masses
-    assert np.array_equal(masses, mesh.lumped_masses)
-    masses[0] = 7.0  # a writable copy
     assert mesh.lumped_masses[0] == 0.125
 
 
 def test_lumped_mass_partitions_length():
     mesh = fem.build_mesh(10, 0.0, 3.0)
-    m = fem.lumped_mass(mesh)
+    m = mesh.lumped_masses
     assert m.sum() == pytest.approx(3.0, abs=1e-14)
     assert m[0] == pytest.approx(0.15, abs=1e-15)
     assert m[-1] == pytest.approx(0.15, abs=1e-15)
@@ -95,19 +91,6 @@ def test_nodal_field_validation():
         fem.NodalField(vals, mesh).check_admissible(P0)
     with pytest.raises(ArgumentError, match="species count"):
         fem.constant_field(mesh, P0).check_admissible(P8)
-
-
-def test_field_norms():
-    mesh = fem.build_mesh(4, 0.0, 1.0)
-    ones = np.ones(mesh.num_nodes)
-    norms = fem.field_norms(ones, mesh)
-    assert norms["l2"] == pytest.approx(1.0, abs=1e-14)
-    assert norms["h1_semi"] == 0.0
-    lin = mesh.nodes.copy()
-    norms = fem.field_norms(lin, mesh)
-    assert norms["h1_semi"] == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ArgumentError):
-        fem.field_norms(np.ones(3), mesh)
 
 
 def test_beta_gradient_field_constant_state_is_zero():
@@ -159,41 +142,39 @@ def _assembled_case(num_cells, params, spec):
 def test_assembled_system_shape_and_symmetry(num_cells, params, spec):
     n_species = params.n_species
     mesh, system = _assembled_case(num_cells, params, spec)
-    n_int = (mesh.num_nodes - 2) * n_species
-    assert system.matrix.shape == (n_int, n_int)
+    ni = mesh.num_nodes - 2
+    n_int = ni * n_species
+    assert system.blocks.shape == (ni, 3, n_species, n_species)
     assert system.rhs.shape == (n_int,)
-    assert system.num_interior == mesh.num_nodes - 2
-    dense = system.matrix.toarray()
+    # The outer blocks of the first and last rows lie outside the operator.
+    assert not system.blocks[0, 0].any() and not system.blocks[-1, 2].any()
+    dense = solver._csc_operator(system).toarray()
+    assert dense.shape == (n_int, n_int)
     # Bitwise symmetric by construction (symmetric outer products only).
     assert np.max(np.abs(dense - dense.T)) == 0.0
     assert np.linalg.eigvalsh(dense).min() > 0.0
 
 
 def _bsr_operator(system):
-    """The operator rebuilt as BSR (n, n) node blocks from its own dense
-    blocks: -stiff, diagonal, -stiff on block row p, outer blocks dropped
-    on the first and last rows."""
-    n, ni = system.n_species, system.num_interior
-    dense = system.matrix.toarray()
+    """The operator built by scipy as BSR from the system's node blocks:
+    -stiff, diagonal, -stiff on block row p, outer blocks dropped on the
+    first and last rows."""
+    ni, _, n, _ = system.blocks.shape
     cols = np.arange(ni)[:, None] + np.array([-1, 0, 1])
-    blocks = np.zeros((ni, 3, n, n))
-    for p in range(ni):
-        for b, q in enumerate(cols[p]):
-            if 0 <= q < ni:
-                blocks[p, b] = dense[p * n:(p + 1) * n, q * n:(q + 1) * n]
     indptr = np.clip(3 * np.arange(ni + 1) - 1, 0, 3 * ni - 2)
     return sparse.bsr_matrix(
-        (blocks.reshape(3 * ni, n, n)[1:-1], cols.ravel()[1:-1], indptr),
-        shape=dense.shape)
+        (system.blocks.reshape(3 * ni, n, n)[1:-1], cols.ravel()[1:-1],
+         indptr), shape=(ni * n, ni * n))
 
 
 @ASSEMBLED_CASES
 def test_assembled_csc_arrays_are_the_block_operator(num_cells, params, spec):
-    # The operator is gathered straight into CSC.  Being bitwise symmetric,
-    # its CSC arrays must be the CSR arrays of the block matrix, explicit
-    # zeros included, and splu must take it without a format conversion.
+    # The solver gathers the node blocks straight into CSC.  Being bitwise
+    # symmetric, the operator's CSC arrays must be the CSR arrays of the
+    # block matrix, explicit zeros included, and splu must take it without
+    # a format conversion.
     _, system = _assembled_case(num_cells, params, spec)
-    mat = system.matrix
+    mat = solver._csc_operator(system)
     assert mat.format == "csc"
     csr = _bsr_operator(system).tocsr()
     for name in ("indptr", "indices", "data"):
@@ -206,11 +187,11 @@ def test_assembled_csc_arrays_are_the_block_operator(num_cells, params, spec):
 def test_operator_pattern_is_shared_and_read_only():
     _, first = _assembled_case(16, P0, SPEC)
     _, second = _assembled_case(16, P0, SPEC)
+    first, second = solver._csc_operator(first), solver._csc_operator(second)
     for name in ("indices", "indptr"):
-        assert np.shares_memory(getattr(first.matrix, name),
-                                getattr(second.matrix, name))
+        assert np.shares_memory(getattr(first, name), getattr(second, name))
     with pytest.raises(ValueError):
-        first.matrix.indices[0] = 1
+        first.indices[0] = 1
 
 
 def test_assembled_load_scales_linearly_in_sigma():
@@ -318,7 +299,7 @@ def test_positive_semidefinite_without_regularisation():
     rng = np.random.default_rng(7)
     w = fem.NodalField(0.05 * rng.standard_normal((mesh.num_nodes, 3)), mesh)
     system = fem.assemble_system(w, s_prev, params0, SPEC, 1.0)
-    dense = system.matrix.toarray()
+    dense = solver._csc_operator(system).toarray()
     for _ in range(200):
         v = rng.standard_normal(dense.shape[0])
         v /= np.linalg.norm(v)

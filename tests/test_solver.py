@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from capmix import constitutive as cst
 from capmix import entropy as ent
@@ -31,25 +30,42 @@ def _assembled(num_cells=16, seed=11):
                                fem.beta_gradient_field(s_prev, P0))
 
 
+def _block_matvec(blocks, x):
+    """Product of a block-tridiagonal node-block stack with x, in NumPy."""
+    ni, _, n, _ = blocks.shape
+    padded = np.zeros((ni + 2, n))
+    padded[1:-1] = x.reshape(ni, n)
+    return sum(np.einsum("pij,pj->pi", blocks[:, b], padded[b:b + ni])
+               for b in range(3)).ravel()
+
+
 def test_solve_linear_matches_dense_factorisation():
     system = _assembled()
     x = solver.solve_linear(system, linear_tol=1e-12)
-    dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    mat = solver._csc_operator(system)
+    dense = np.linalg.solve(mat.toarray(), system.rhs)
     assert np.allclose(x, dense, rtol=1e-10, atol=1e-14)
-    resid = np.linalg.norm(system.matrix @ x - system.rhs)
+    resid = np.linalg.norm(mat @ x - system.rhs)
     assert resid <= 1e-12 * np.linalg.norm(system.rhs)
+    assert np.allclose(_block_matvec(system.blocks, x), mat @ x,
+                       rtol=0.0, atol=1e-12)
 
 
 def test_solve_linear_large_system_meets_its_residual():
     # 1700 interior nodes of 3 species: 5100 unknowns, block tridiagonal
-    # like the assembled operator, with spectrum in [1, 5].
+    # like the assembled operator (the 1d Laplacian times the identity plus
+    # the identity), with spectrum in [1, 5].
     n, nodes = 3, 1700
-    lap = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(nodes, nodes))
-    mat = (sparse.kron(lap, sparse.eye(n)) + sparse.eye(n * nodes)).tocsr()
+    eye = np.eye(n)
+    blocks = np.zeros((nodes, 3, n, n))
+    blocks[:, 0] = blocks[:, 2] = -eye
+    blocks[:, 1] = 3.0 * eye
+    blocks[0, 0] = blocks[-1, 2] = 0.0
     rhs = np.random.default_rng(12).standard_normal(n * nodes)
-    system = fem.LinearSystem(mat, rhs, n, nodes)
+    system = fem.LinearSystem(blocks, rhs)
     x = solver.solve_linear(system, linear_tol=1e-10)
-    assert np.linalg.norm(mat @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    resid = np.linalg.norm(_block_matvec(blocks, x) - rhs)
+    assert resid <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_solve_linear_zero_load_is_exact_zero():
@@ -64,9 +80,9 @@ def test_solve_linear_zero_load_is_exact_zero():
 def test_solve_linear_refuses_a_singular_system():
     # The middle node's diagonal block is zero: no pivot exists.
     n, nodes = 3, 3
-    mat = sparse.block_diag([np.eye(n), np.zeros((n, n)), np.eye(n)],
-                            format="csr")
-    system = fem.LinearSystem(mat, np.ones(n * nodes), n, nodes)
+    blocks = np.zeros((nodes, 3, n, n))
+    blocks[0, 1] = blocks[2, 1] = np.eye(n)
+    system = fem.LinearSystem(blocks, np.ones(n * nodes))
     with pytest.raises(LinearSolveError, match="factorization failed"):
         solver.solve_linear(system)
 
@@ -91,10 +107,11 @@ def test_solver_config_validation(field, value, fragment):
 
 
 def test_solve_linear_refuses_an_unreachable_residual(monkeypatch):
-    solves = []
+    factorisations, solves = [], []
     splu = solver.splu
 
     def counted(mat):
+        factorisations.append(1)
         lu = splu(mat)
 
         class Counted:
@@ -107,8 +124,8 @@ def test_solve_linear_refuses_an_unreachable_residual(monkeypatch):
     monkeypatch.setattr(solver, "splu", counted)
     with pytest.raises(LinearSolveError, match="residual .* exceeds"):
         solver.solve_linear(_assembled(), linear_tol=1e-20)
-    # One solve and all three refinement steps ran before the refusal.
-    assert len(solves) == 4
+    # One factorisation, one solve, one residual check: no refinement.
+    assert (len(factorisations), len(solves)) == (1, 1)
 
 
 def test_solve_linear_defaults_to_the_run_tolerance():
@@ -123,7 +140,7 @@ def test_solve_linear_defaults_to_the_run_tolerance():
     system = fem.assemble_system(w, s_prev, P0, SPEC, 1.0,
                                  fem.beta_gradient_field(s_prev, P0))
     x = solver.solve_linear(system)
-    resid = np.linalg.norm(system.matrix @ x - system.rhs)
+    resid = np.linalg.norm(solver._csc_operator(system) @ x - system.rhs)
     assert resid <= 1e-10 * np.linalg.norm(system.rhs)
 
 
