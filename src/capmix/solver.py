@@ -573,11 +573,16 @@ def _total_density_l2_diff(times_coarse, totals_coarse, times_fine,
 
 
 def _ladder_runs(initial, params, spec, solver_cfg, values, kind):
+    """One run per ladder value, each recording every step: the space-time
+    differences weight each record by one step, and the study keeps no
+    records in its report, so the caller's ``record_every`` changes
+    nothing."""
+    every_step = replace(solver_cfg, record_every=1)
     runs = []
     for v in values:
         pv = replace(params, kappa=float(v)) if kind == "kappa" \
             else replace(params, eps=float(v))
-        traj = run_simulation(initial, pv, spec, solver_cfg)
+        traj = run_simulation(initial, pv, spec, every_step)
         runs.append((pv, traj))
     return runs
 

@@ -213,13 +213,55 @@ def test_inversion_far_from_previous_total():
     total, f_val = ent._solve_total_many(c, prev, P0)
     assert np.all((total > 0.0) & (total < 1.0))
     assert np.all(np.abs(f_val - c) <= ent._ROOTFIND_TOL * (1.0 + np.abs(c)))
-    # The public inverse runs the same root-find.  Rows spanning more than
-    # about 745 underflow a species and are refused (see
+    # The public inverse starts from the tabulated inverse of g instead and
+    # meets the same target on the same rows.  Rows spanning more than about
+    # 745 underflow a species and are refused (see
     # test_recovery_refuses_an_underflowing_species), so it takes the rest.
     kept = np.ptp(w + log_yg, axis=1) < 700.0
-    s, total_kept, _, _ = ent.states_from_w(w[kept], prev[kept], P0)
-    assert np.array_equal(total_kept, total[kept])
-    assert np.all(s > 0.0)
+    s, total_kept, _, f_kept = ent.states_from_w(w[kept], prev[kept], P0)
+    tol = ent._ROOTFIND_TOL * (1.0 + np.abs(c[kept]))
+    assert np.all(np.abs(f_kept - c[kept]) <= tol)
+    assert np.all(s > 0.0) and np.all(s.sum(axis=1) < 1.0)
+    # Both totals lie within the target of the one root, so they differ by
+    # at most twice the target over the smallest slope of f on those rows.
+    both = np.concatenate([total_kept, total[kept]])
+    fp_min = np.min(cst._tau_over_a(both, P0)
+                    + cst._beta_hat_prime(both, P0) / P0.kappa)
+    assert np.all(np.abs(total_kept - total[kept]) <= 2.0 * tol / fp_min)
+
+
+def test_cold_batch_starts_from_the_tabulated_inverse(monkeypatch):
+    # A cold batch drawn like the benchmark's transform workload: the
+    # previous totals say nothing about the roots.  Started at the previous
+    # total the root-find makes about 8.5 evaluations of f per point; the
+    # tabulated inverse of g brings that under 4.
+    rng = np.random.default_rng(23)
+    m = 10_000
+    frac = rng.uniform(0.05, 1.0, size=(m, 3))
+    frac /= frac.sum(axis=1, keepdims=True)
+    states = frac * rng.uniform(0.05, 0.92, size=m)[:, None]
+    prev = rng.uniform(0.05, 0.92, size=m)
+    w, _, _ = ent.w_from_states(states, prev, P0)
+
+    f_of_total = ent._f_of_total
+    evals = [0]
+
+    def counted(*args):
+        evals[0] += args[0].size
+        return f_of_total(*args)
+
+    monkeypatch.setattr(ent, "_f_of_total", counted)
+    _, _, _, f_val = ent.states_from_w(w, prev, P0)
+    assert evals[0] <= 4.5 * m
+    log_yg, _, _, _ = ent._f_scalar_terms(P0)
+    c = ent._logsumexp_rows(w + log_yg)
+    assert np.all(np.abs(f_val - c) <= ent._ROOTFIND_TOL * (1.0 + np.abs(c)))
+
+    g_k, s_k = ent._g_table(P0)
+    assert np.all(np.diff(g_k) > 0.0) and np.all(np.diff(s_k) > 0.0)
+    assert not g_k.flags.writeable and not s_k.flags.writeable
+    again = ent._g_table(P0)
+    assert again[0] is g_k and again[1] is s_k
 
 
 def test_blocking_changes_no_bit_and_no_error(monkeypatch):

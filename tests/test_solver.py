@@ -492,6 +492,17 @@ def test_refinement_study_flags_growth_and_undefined_orders():
                              / apriori[0]["mobility_inv_p_int"]) > 2.0
 
 
+def test_refinement_study_ignores_the_recording_stride():
+    # The space-time differences weight each record by one coarse step, so
+    # every ladder run records every step whatever the caller's stride.
+    mesh = fem.build_mesh(16)
+    init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
+    reports = [solver.refinement_study(
+        init, P0, SPEC, solver.SolverConfig(t_end=0.01, record_every=k),
+        kappa_list=[1e-3, 5e-4, 2.5e-4], eps_list=[]) for k in (1, 2, 5)]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_refinement_study_requires_non_increasing_ladders():
     mesh = fem.build_mesh(8)
     init = solver.equilibrium_initial(mesh, P0)
