@@ -12,7 +12,6 @@ same configuration.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 __all__ = ["main"]
@@ -121,7 +120,6 @@ def _cmd_run(args):
 
 
 def _cmd_study(args):
-    import json
     from . import runio, solver
     config = runio.parse_config(_read_config(args.config))
     kappas = _float_list(args.kappas, "--kappas")
@@ -144,12 +142,7 @@ def _cmd_study(args):
         print(f"  {flag['quantity']}: {flag['parameter']} "
               f"{flag['from_value']:g} -> {flag['to_value']:g} "
               f"ratio {flag['ratio']:.3g}")
-    os.makedirs(config.output_dir, exist_ok=True)
-    out_path = os.path.join(config.output_dir, "study.json")
-    with open(out_path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(runio._jsonable(report), indent=2,
-                            sort_keys=True) + "\n")
-    print(f"study report in {out_path}")
+    print(f"study report in {runio.write_study(report, config.output_dir)}")
     return _EXIT_OK
 
 

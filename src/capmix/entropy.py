@@ -24,12 +24,13 @@ Inverting w -> S reduces to one scalar strictly-increasing equation
 
     f(S) = f0(S) - f0(S^G) + (beta(S) - beta(s_prev))/kappa = logsumexp-like rhs,
 
-whose root gives the total; the fractions are a weighted softmax of w.  The
-root is found by a safeguarded Newton iteration on the bracket (0, 1) to the
-residual |f(S) - c| <= 1e-12 (1 + |c|).  A simulation's recovery starts it
-at each point's previous total, which lies near the root.  A cold batch
-(``states_from_w``) starts it from a tabulated inverse of the strictly
-increasing g(S) = f0(S) + beta(S)/kappa, since f(S) = c reads
+whose root gives the total; the fractions are a weighted softmax of w, and a
+recovered row outside the admissible set raises DomainError.  The root is
+found by a safeguarded Newton iteration on the bracket (0, 1) to the residual
+|f(S) - c| <= 1e-12 (1 + |c|), evaluating f first at its start.  A
+simulation's recovery starts at each point's previous total, which lies near
+the root.  A cold batch (``states_from_w``) starts at a tabulated inverse of
+the strictly increasing g(S) = f0(S) + beta(S)/kappa, since f(S) = c reads
 g(S) = c + f0(S^G) + beta(s_prev)/kappa.  Both directions evaluate f through
 the same helper, so the round-trip error is set by that residual target
 (and the rounding of the stored sum log(S_i/S) + f(S)), not by any
@@ -200,10 +201,11 @@ def _g_table(params):
 
     f(S) = c is g(S) = c + f0(S^G) + beta_hat(s_prev)/kappa, so ``np.interp``
     of that right-hand side over (g_k, S_k) lands near the root whatever the
-    previous total.  The totals sit at logit-spaced points, dense towards
-    both ends of (0, 1); only the finite knots at which g strictly increases
-    in floating point are kept.  Built from the constitutive functions
-    directly, not through ``_f_of_total``: it is no root-find work.
+    previous total, and inside (0, 1) for any c but NaN.  The totals sit
+    at logit-spaced points, dense towards both ends of (0, 1); only the
+    finite knots at which g strictly increases in floating point are kept.
+    Built from the constitutive functions directly, not through
+    ``_f_of_total``: it is no root-find work.
     """
     t = np.linspace(-_G_TABLE_LOGIT, _G_TABLE_LOGIT, _G_TABLE_KNOTS)
     s_k = 1.0 / (1.0 + np.exp(-t))
@@ -247,14 +249,14 @@ def _solve_total_many(c, s_prev_total, params, table_start=False):
     """Solve f(S) = c per point by safeguarded Newton (rtsafe).
 
     f is strictly increasing from -inf at 0 to +inf at 1, so (0, 1) brackets
-    every root.  Each point is first evaluated at its previous total, which
-    accepts stationary points at once and bounds the root on one side.
-    From there a simulation's recovery (the default) takes Newton steps: its
-    previous total is near the root.  A cold batch (``table_start``, used by
-    ``states_from_w``) takes as its first step the tabulated inverse of g
-    (see ``_g_table``), clipped strictly inside the bracket, and makes about
-    4 evaluations per point instead of 8.5.  Each point keeps a bracket
-    [lo, hi] that every evaluation shrinks.  The Newton step uses the
+    every root.  Each point is first evaluated at its start, which accepts
+    points already converged there and bounds the root on one side.  A
+    simulation's recovery (the default) starts at each point's previous
+    total, which lies near the root.  A cold batch (``table_start``, used by
+    ``states_from_w``) starts at the tabulated inverse of g (see
+    ``_g_table``) and makes about 3 evaluations per point instead of 8.5.
+    From there both take the same Newton steps, and each point keeps a
+    bracket [lo, hi] that every evaluation shrinks.  The Newton step uses the
     derivative of the tabulated f, tau/a + beta_hat'/kappa; it is replaced by
     the bracket midpoint whenever it is not finite, leaves the open bracket
     (f' overflowing near 0 or 1 lands it on an edge) or is more than half the
@@ -275,9 +277,12 @@ def _solve_total_many(c, s_prev_total, params, table_start=False):
     _, f0_ref, _, _ = _f_scalar_terms(params)
     beta_prev = cst._beta_hat(prev, params)
 
-    # Points already converged at their previous total (stationary regions)
-    # are accepted without iterating.
-    total = prev.copy()
+    # Points already converged at their start are accepted without iterating.
+    if table_start:
+        g_k, s_k = _g_table(params)
+        total = np.interp(c + (f0_ref + beta_prev / params.kappa), g_k, s_k)
+    else:
+        total = prev.copy()
     f_val = _f_of_total(total, beta_prev, f0_ref, params)
     todo = np.flatnonzero(~(np.abs(f_val - c) <= tol))
     if todo.size == 0:
@@ -287,29 +292,18 @@ def _solve_total_many(c, s_prev_total, params, table_start=False):
     cc, tt, bp = c[todo], tol[todo], beta_prev[todo]
     lo = np.zeros_like(x)
     hi = np.ones_like(x)
-    dx = np.ones_like(x)
-    dx_old = dx
-    start = None
-    if table_start:
-        g_k, s_k = _g_table(params)
-        start = np.interp(cc + (f0_ref + bp / params.kappa), g_k, s_k)
+    dx = dx_old = np.ones_like(x)
     for _ in range(_ROOTFIND_MAX_ITER):
         below = fx < cc
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        if start is not None:
-            # A cold point's first step: the tabulated start, strictly
-            # inside the bracket its previous total set.
-            x_new = np.clip(start, np.nextafter(lo, hi), np.nextafter(hi, lo))
-            start = None
-        else:
-            fp = (cst._tau_over_a(x, params)
-                  + cst._beta_hat_prime(x, params) / params.kappa)
-            dn = (fx - cc) / fp
-            newton = x - dn
-            take = (np.isfinite(newton) & (newton > lo) & (newton < hi)
-                    & (np.abs(dn) <= 0.5 * dx_old))
-            x_new = np.where(take, newton, 0.5 * (lo + hi))
+        fp = (cst._tau_over_a(x, params)
+              + cst._beta_hat_prime(x, params) / params.kappa)
+        dn = (fx - cc) / fp
+        newton = x - dn
+        take = (np.isfinite(newton) & (newton > lo) & (newton < hi)
+                & (np.abs(dn) <= 0.5 * dx_old))
+        x_new = np.where(take, newton, 0.5 * (lo + hi))
         if ((x_new <= lo) | (x_new >= hi)).any():
             break  # some bracket holds no double strictly inside: a stall
         dx_old, dx = dx, np.abs(x_new - x)
@@ -346,19 +340,17 @@ def _state_from_w_many(w, s_prev_total, params, table_start=False):
     """Inverse transform on stacked points: softmax fractions of w times the
     total from the scalar root-find.
 
-    w: (m, n) finite, s_prev_total: (m,).  Returns (s (m,n), total (m,),
-    f_value (m,)); ``states_from_w`` adds the derivative ds_dw, which
-    assembly takes from its own coefficient evaluation instead.  A row of w
-    spanning more than about 745 underflows a fraction to zero, a state
-    outside the admissible set: it raises DomainError.  ``table_start`` is
-    passed to ``_solve_total_many``.
+    w: (m, n) finite floats, s_prev_total: (m,) floats.  Returns (s (m,n),
+    total (m,), f_value (m,)); ``states_from_w`` adds the derivative ds_dw,
+    which assembly takes from its own coefficient evaluation instead.  A row
+    outside the admissible set raises DomainError naming its w: a w spanning
+    more than about 745 underflows a fraction to zero, and a large |f| (1e83
+    at lam = 45) rounds the log-fractions out of w and sums a row to >= 1.
     """
-    w = np.asarray(w, dtype=float)
-    prev = np.asarray(s_prev_total, dtype=float)
     log_yg, _, sgt, sg = _f_scalar_terms(params)
     shifted = w + log_yg[None, :]
     c = _logsumexp_rows(shifted)
-    total, f_val = _solve_total_many(c, prev, params, table_start=table_start)
+    total, f_val = _solve_total_many(c, s_prev_total, params, table_start)
     s = total[:, None] * np.exp(shifted - c[:, None])
 
     # At w = 0 with the previous total equal to the boundary total, the exact
@@ -366,14 +358,15 @@ def _state_from_w_many(w, s_prev_total, params, table_start=False):
     # reduce to the boundary fractions); return it bitwise so equilibrium is
     # preserved exactly instead of to round-off of logsumexp/softmax.  Each
     # row is computed on its own, so overwriting these changes no other row.
-    snap = (prev == sgt) & (w == 0.0).all(axis=1)
+    snap = (s_prev_total == sgt) & (w == 0.0).all(axis=1)
     s[snap] = sg
     total[snap] = sgt
     f_val[snap] = 0.0
-    if s.size and not s.min() > 0.0:
-        row = w[~(s > 0.0).all(axis=1)][0]
-        raise DomainError(f"entropy variables {row.tolist()} recover a "
-                          "species that is not positive")
+    sums = s.sum(axis=1)
+    if s.size and not (s.min() > 0.0 and sums.max() < 1.0):
+        row = w[~((s > 0.0).all(axis=1) & (sums < 1.0))][0]
+        raise DomainError(f"entropy variables {row.tolist()} recover a state "
+                          "outside the admissible set (need S_i > 0, sum < 1)")
     return s, total, f_val
 
 
@@ -396,6 +389,18 @@ def _by_blocks(block, *rows):
     return out
 
 
+def _batch_args(rows, s_prev_total, name):
+    """``rows`` (m, n) and previous totals (m,) in (0, 1) as float arrays."""
+    arr = np.asarray(rows, dtype=float)
+    prev = np.asarray(s_prev_total, dtype=float)
+    if arr.ndim != 2 or prev.shape != (arr.shape[0],):
+        raise ArgumentError(f"need {name} of shape (m, n) and matching "
+                            "previous totals")
+    if not (np.all(prev > 0.0) and np.all(prev < 1.0)):
+        raise DomainError("previous totals must lie in (0,1)")
+    return arr, prev
+
+
 def w_from_states(s, s_prev_total, params):
     """Vectorised forward transform on stacked states.
 
@@ -403,13 +408,8 @@ def w_from_states(s, s_prev_total, params):
     (w (m,n), ds_dw (m,n), f_value (m,)).  The whole batch is validated,
     then transformed in blocks of ``_BLOCK_ROWS`` rows.
     """
-    arr = np.asarray(s, dtype=float)
-    prev = np.asarray(s_prev_total, dtype=float)
-    if arr.ndim != 2 or prev.shape != (arr.shape[0],):
-        raise ArgumentError("need s of shape (m, n) and matching previous totals")
+    arr, prev = _batch_args(s, s_prev_total, "s")
     arr, totals = _admissible_rows(arr)
-    if not (np.all(prev > 0.0) and np.all(prev < 1.0)):
-        raise DomainError("previous totals must lie in (0,1)")
     return _by_blocks(lambda s_b, t_b, p_b: _w_many(s_b, t_b, p_b, params),
                       arr, totals, prev)
 
@@ -419,24 +419,19 @@ def states_from_w(w, s_prev_total, params):
 
     w: (m, n) entropy-variable rows, s_prev_total: (m,) previous totals.
     Returns (s (m,n), total (m,), ds_dw (m,n), f_value (m,)); the recovered
-    rows lie in the admissible set; a row whose softmax underflows (entries
-    spanning more than about 745) raises DomainError.  The whole batch is
+    rows lie in the admissible set, and a row that would not (see
+    ``_state_from_w_many``) raises DomainError.  The whole batch is
     validated first (a non-finite w raises DomainError naming its first bad
     row, previous totals must lie in (0,1)), then the rows are recovered in
     blocks of ``_BLOCK_ROWS``; a RootFindError reports the worst residual of
-    the block that failed.  The rows are taken as a cold batch: after the
-    check at each previous total, the root-find for the total starts from
-    the tabulated inverse of g (``_g_table``), not from that total.
+    the block that failed.  The rows are taken as a cold batch: the
+    root-find for the total starts from the tabulated inverse of g
+    (``_g_table``), not from the previous total.
     """
-    warr = np.asarray(w, dtype=float)
-    prev = np.asarray(s_prev_total, dtype=float)
-    if warr.ndim != 2 or prev.shape != (warr.shape[0],):
-        raise ArgumentError("need w of shape (m, n) and matching previous totals")
+    warr, prev = _batch_args(w, s_prev_total, "w")
     if warr.size and not (np.isfinite(warr.min()) and np.isfinite(warr.max())):
         row = warr[~np.isfinite(warr).all(axis=1)][0]
         raise DomainError(f"entropy variables {row.tolist()} are not finite")
-    if not (np.all(prev > 0.0) and np.all(prev < 1.0)):
-        raise DomainError("previous totals must lie in (0,1)")
 
     def block(w_b, prev_b):
         s, total, f_val = _state_from_w_many(w_b, prev_b, params,

@@ -15,10 +15,11 @@ full parameter-admissibility validation before any run starts.
 ``write_outputs`` serializes a completed trajectory into ``diagnostics.csv``
 (one row per recorded step), ``snapshots.csv`` (nodal compositions of every
 stored state) and ``manifest.json`` (config echo, a-priori bound report,
-entropy margins, versions).  All floats are written in shortest round-trip
+entropy margins, versions), and ``write_study`` a refinement study's report
+into ``study.json``.  All floats are written in shortest round-trip
 decimal and all maps are sorted, so reruns with the same configuration on
-one thread produce byte-identical files.  The manifest is written last and
-atomically: a failed run never leaves a partial manifest behind.
+one thread produce byte-identical files.  Every file is written atomically
+and the manifest last: a failed run never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "render_config",
     "build_problem",
     "write_outputs",
+    "write_study",
     "DIAGNOSTICS_HEADER",
 ]
 
@@ -370,8 +372,7 @@ def write_outputs(trajectory, config: RunConfig, directory) -> dict:
 
     Files are byte-identical across reruns with the same configuration at
     one thread.  Filesystem problems raise OutputError with the original
-    message; the manifest is written atomically so no partial manifest can
-    remain.
+    message; each file is written atomically, the manifest last.
     """
     params = trajectory.params if trajectory.params is not None else config.params
     records = trajectory.diagnostics
@@ -391,22 +392,32 @@ def write_outputs(trajectory, config: RunConfig, directory) -> dict:
             "python": platform.python_version(),
         },
     }
-    diagnostics_text = _diagnostics_csv(trajectory)
-    snapshots_text = _snapshots_csv(trajectory)
-    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_files(directory, {
+        "diagnostics.csv": _diagnostics_csv(trajectory),
+        "snapshots.csv": _snapshots_csv(trajectory),
+        "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    })
+    return manifest
 
+
+def write_study(report, directory) -> str:
+    """Write a ``refinement_study`` report as study.json into ``directory``
+    and return its path; filesystem problems raise OutputError."""
+    _write_files(directory, {
+        "study.json": json.dumps(_jsonable(report), indent=2,
+                                 sort_keys=True) + "\n"})
+    return os.path.join(directory, "study.json")
+
+
+def _write_files(directory, texts):
+    """Write ``texts`` (file name -> text) in order into ``directory``, each
+    through a temporary file and a rename; OSError becomes OutputError."""
     try:
         os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, "diagnostics.csv"), "w",
-                  encoding="ascii", newline="") as fh:
-            fh.write(diagnostics_text)
-        with open(os.path.join(directory, "snapshots.csv"), "w",
-                  encoding="ascii", newline="") as fh:
-            fh.write(snapshots_text)
-        tmp_path = os.path.join(directory, ".manifest.json.tmp")
-        with open(tmp_path, "w", encoding="ascii", newline="") as fh:
-            fh.write(manifest_text)
-        os.replace(tmp_path, os.path.join(directory, "manifest.json"))
+        for name, text in texts.items():
+            tmp_path = os.path.join(directory, f".{name}.tmp")
+            with open(tmp_path, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp_path, os.path.join(directory, name))
     except OSError as exc:
         raise OutputError(str(exc)) from exc
-    return manifest

@@ -114,6 +114,14 @@ def test_output_failure_maps_to_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_study_output_failure_maps_to_exit_3(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file where the output directory should go\n")
+    cfg = _write_config(tmp_path, taken)
+    assert cli.main(["study", cfg, "--kappas", "2e-3,1e-3"]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_run_reports_the_failing_step(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solver, "_FP_MAX_ITERS", 1)
     path = tmp_path / "stalls.cfg"

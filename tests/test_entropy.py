@@ -233,8 +233,9 @@ def test_inversion_far_from_previous_total():
 def test_cold_batch_starts_from_the_tabulated_inverse(monkeypatch):
     # A cold batch drawn like the benchmark's transform workload: the
     # previous totals say nothing about the roots.  Started at the previous
-    # total the root-find makes about 8.5 evaluations of f per point; the
-    # tabulated inverse of g brings that under 4.
+    # total the root-find makes about 8.5 evaluations of f per point; started
+    # at the tabulated inverse of g, with no evaluation at the previous
+    # total, it makes about 3.
     rng = np.random.default_rng(23)
     m = 10_000
     frac = rng.uniform(0.05, 1.0, size=(m, 3))
@@ -252,16 +253,44 @@ def test_cold_batch_starts_from_the_tabulated_inverse(monkeypatch):
 
     monkeypatch.setattr(ent, "_f_of_total", counted)
     _, _, _, f_val = ent.states_from_w(w, prev, P0)
-    assert evals[0] <= 4.5 * m
+    assert evals[0] <= 3.5 * m
     log_yg, _, _, _ = ent._f_scalar_terms(P0)
     c = ent._logsumexp_rows(w + log_yg)
     assert np.all(np.abs(f_val - c) <= ent._ROOTFIND_TOL * (1.0 + np.abs(c)))
+
+    # A simulation's recovery starts at the previous total and evaluates f
+    # there first.  With w taken at previous totals equal to the states'
+    # own totals, those totals are the roots, and that one evaluation per
+    # point is all it makes.
+    totals = states.sum(axis=1)
+    w_still, _, _ = ent.w_from_states(states, totals, P0)
+    evals[0] = 0
+    _, total, _ = ent._state_from_w_many(w_still, totals, P0)
+    assert evals[0] == m
+    assert np.array_equal(total, totals)
 
     g_k, s_k = ent._g_table(P0)
     assert np.all(np.diff(g_k) > 0.0) and np.all(np.diff(s_k) > 0.0)
     assert not g_k.flags.writeable and not s_k.flags.writeable
     again = ent._g_table(P0)
     assert again[0] is g_k and again[1] is s_k
+
+
+def test_recovery_refuses_a_row_summing_past_one():
+    # An exponent set the validator accepts, with f about 1e83 near a total
+    # of 1: w and c lose the O(1) log-fractions, the softmax gives every
+    # species a fraction near 1, and a row would come back with a total near
+    # 3.  The recovery refuses it instead, naming its row of w.
+    params = cst.default_params(lam=45.0, beta2=20.0)
+    assert cst.validate_assumptions(params).accepted
+    rng = np.random.default_rng(45)
+    m = 20_000
+    s = _random_states(rng, m, lo=0.01, hi=0.99)
+    prev = rng.uniform(0.01, 0.99, size=m)
+    w, _, _ = ent.w_from_states(s, prev, params)
+    with pytest.raises(DomainError, match=r"entropy variables \[.*\] recover "
+                       r"a state outside the admissible set"):
+        ent.states_from_w(w, prev, params)
 
 
 def test_blocking_changes_no_bit_and_no_error(monkeypatch):
