@@ -31,7 +31,14 @@ class LinearSolveError(CapmixError, ArithmeticError):
 
 
 class FixedPointError(CapmixError, ArithmeticError):
-    """Picard/homotopy iteration for one time step failed to converge."""
+    """Picard/homotopy iteration for one time step failed to converge.
+
+    Raised by a step, it carries the last rung's ``sigma``, its
+    ``residual`` (inf when no evaluation was accepted) and the count of
+    ``refused`` trial evaluations.  ``run_simulation`` re-raises it, and a
+    step's AssemblyError or LinearSolveError, with ``step`` and ``time``
+    added.
+    """
 
 
 class EntropyViolationError(CapmixError, RuntimeError):

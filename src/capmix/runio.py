@@ -33,7 +33,6 @@ import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import constitutive as cst
@@ -374,6 +373,8 @@ def write_outputs(trajectory, config: RunConfig, directory) -> dict:
     one thread.  Filesystem problems raise OutputError with the original
     message; each file is written atomically, the manifest last.
     """
+    import scipy
+
     params = trajectory.params if trajectory.params is not None else config.params
     records = trajectory.diagnostics
     manifest = {

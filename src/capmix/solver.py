@@ -6,7 +6,9 @@ iterate, solve the symmetric positive definite block-tridiagonal system,
 and iterate until the lumped-L2 defect norm drops below fp_tol.  This module
 owns the linear algebra of the step: assembly hands over the operator's
 node blocks, and ``solve_linear`` gathers them into CSC, factorises once
-with a sparse LU and checks the residual once.  The plain damped
+with a sparse LU and checks the residual once; scipy is imported there and
+in the Newton finisher, so a run loads it at its first factorisation and
+importing this module loads NumPy alone.  The plain damped
 update is Anderson-accelerated, because the coefficient feedback makes the
 bare map expansive at practical time steps; with an empty history the
 update is the plain damped step, so w* = 0 remains the exact one-shot
@@ -32,8 +34,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from . import diagnostics as diag
 from . import fem
@@ -148,9 +148,12 @@ def _operator_pattern(ni, n):
     return arrays
 
 
-def _csc_operator(system: fem.LinearSystem) -> csc_matrix:
-    """The operator of an assembled system gathered into CSC; its index
-    arrays are shared by every system of its size and read-only."""
+def _csc_operator(system: fem.LinearSystem):
+    """The operator of an assembled system gathered into a scipy
+    ``csc_matrix``; its index arrays are shared by every system of its size
+    and read-only."""
+    from scipy.sparse import csc_matrix
+
     ni, _, n, _ = system.blocks.shape
     gather, indices, indptr = _operator_pattern(ni, n)
     return csc_matrix((system.blocks.ravel()[gather], indices, indptr),
@@ -170,6 +173,8 @@ def solve_linear(system: fem.LinearSystem,
     rhs = system.rhs
     if not rhs.any():
         return np.zeros_like(rhs)
+    from scipy.sparse.linalg import splu
+
     mat = _csc_operator(system)
     allowed = linear_tol * float(np.linalg.norm(rhs))
     try:
@@ -196,6 +201,8 @@ def _newton_polish(x, g, res, apply_map, mesh, cfg: SolverConfig, budget):
     fruitless backtrack or an evaluation failure it stops early and hands its
     best iterate back to the caller.
     """
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     used = 0
     f = g - x
     shape = x.shape
@@ -390,7 +397,10 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
     Starts the full-load solve from w_start, the (num_nodes, n) nodal entropy
     variable the previous step converged to (``StepStats.w``), or from
     w* = 0 when it is omitted; on non-convergence retries with the sigma
-    homotopy ladder from w* = 0, warm-starting each rung.  The returned nodal
+    homotopy ladder from w* = 0, warm-starting each rung; a failed ladder
+    raises FixedPointError carrying its last ``sigma``, that rung's
+    ``residual`` (inf when no evaluation was accepted) and the number of
+    ``refused`` trial evaluations.  The returned nodal
     states are recovered through the inverse transform, hence always lie in
     the admissible set.  grad_beta_prev carries the quadrature samples of the
     previous step's beta gradient (the run memory); omitted, it is rebuilt
@@ -427,7 +437,10 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
             if refused:
                 message += (f"; {refused} trial evaluations refused, last: "
                             f"{last_refusal}")
-            raise FixedPointError(message) from last_refusal
+            error = FixedPointError(message)
+            error.sigma, error.residual = float(sigma), float(res)
+            error.refused = refused
+            raise error from last_refusal
     s_new, _ = fem._recover_points(w, s_prev.totals, params)
     new_state = fem.NodalField(s_new, mesh)
     stats = StepStats(iterations=total_iters, residual=float(res),
@@ -447,7 +460,8 @@ def run_simulation(initial: fem.NodalField, params, spec,
     strict mode turns a violation into an abort.  Each step's solve starts
     from the entropy variable the step before converged to.  A solver error
     of a step is re-raised as the same type with the step and its time
-    prefixed.
+    prefixed to its message and added as attributes ``step`` and ``time``,
+    next to any the error already carries.
     """
     mesh = initial.mesh
     try:
@@ -477,7 +491,9 @@ def run_simulation(initial: fem.NodalField, params, spec,
                                            grad_beta_prev=grad_beta,
                                            w_start=w_prev)
         except (FixedPointError, LinearSolveError, AssemblyError) as exc:
-            raise type(exc)(f"step {k} (t = {k * kappa:g}): {exc}") from exc
+            error = type(exc)(f"step {k} (t = {k * kappa:g}): {exc}")
+            error.__dict__.update(vars(exc), step=k, time=k * kappa)
+            raise error from exc
         budget = diag.dissipation_budget(s_new, s_prev, params, spec, mesh,
                                          step=k, time=k * kappa,
                                          fp_iters=stats.iterations,

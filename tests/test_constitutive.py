@@ -6,6 +6,7 @@ quadrature of tau for beta) and are frozen here.
 """
 
 import ast
+import json
 import math
 import os
 import subprocess
@@ -331,35 +332,65 @@ def test_sup_beta_prime_is_bitwise_the_scipy_table_sup(params):
     assert cst.sup_beta_prime(params) == _sup_beta_prime_from_scipy(params)
 
 
-def test_solve_path_imports_no_unused_scipy_subpackage():
+def test_solve_path_imports_no_unused_scipy_subpackage(tmp_path):
     # A fresh interpreter: the test session itself has imported scipy widely.
-    script = """
+    # Import, parsing, validation and the batch transforms load no scipy at
+    # all; a run loads scipy.sparse.linalg at its first factorisation.
+    config_path = tmp_path / "workload.cfg"
+    config_path.write_text(
+        "[model]\nn_species = 3\nkappa = 1e-3\neps = 1e-3\n"
+        "[solver]\nt_end = 0.05\n[mesh]\nnum_cells = 64\n"
+        "[diffusion]\nkind = scaled_projection\n"
+        "[initial]\nprofile = sine_perturbation\namplitude = 0.1\n")
+    script = f"""
+import json
 import sys
 import numpy as np
-import capmix
-from capmix import constitutive as cst, entropy, fem, solver
 
-params = cst.default_params()
+def scipy_modules():
+    return [m for m in sys.modules if m.startswith("scipy")]
+
+loaded = {{}}
+import capmix
+loaded["import capmix"] = scipy_modules()
+from capmix import cli, constitutive as cst, entropy, fem, runio, solver
+
+config = runio.parse_config(open({str(config_path)!r}).read())
+params, spec, *_ = runio.build_problem(config)
+loaded["parse_config, build_problem"] = scipy_modules()
+cst.validate_assumptions(params)
 cst.sup_beta_prime(params)
-mesh = fem.build_mesh(8)
-init = solver.sine_perturbation_initial(mesh, params, amplitude=0.1)
-solver.run_simulation(init, params, entropy.DiffusionMatrixSpec(),
-                      solver.SolverConfig(t_end=2 * params.kappa))
-states = np.random.default_rng(1).dirichlet(np.ones(4), size=4)[:, :3]
-prev = states.sum(axis=1)
+loaded["validate_assumptions"] = scipy_modules()
+# States drawn as the transform benchmark draws them.
+rng = np.random.default_rng(1)
+frac = rng.uniform(0.05, 1.0, size=(10_000, 3))
+states = frac / frac.sum(axis=1, keepdims=True)
+states *= rng.uniform(0.05, 0.92, size=10_000)[:, None]
+prev = rng.uniform(0.05, 0.92, size=10_000)
 w, _, _ = entropy.w_from_states(states, prev, params)
 entropy.states_from_w(w, prev, params)
-print(*sys.modules)
+loaded["transform round trip"] = scipy_modules()
+assert cli.main(["validate", {str(config_path)!r}]) == 0
+loaded["capmix validate"] = scipy_modules()
+
+mesh = fem.build_mesh(8)
+init = solver.sine_perturbation_initial(mesh, params, amplitude=0.1)
+solver.run_simulation(init, params, spec,
+                      solver.SolverConfig(t_end=2 * params.kappa))
+print(json.dumps([loaded, list(sys.modules)]))
 """
     # The child imports the same capmix this session tests.
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cst.__file__)))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True, env=env).stdout.split()
-    assert "capmix.solver" in out
+                         text=True, check=True, env=env).stdout
+    loaded, after_run = json.loads(out.splitlines()[-1])
+    assert loaded == dict.fromkeys(loaded, [])
+    assert "capmix.solver" in after_run
+    assert "scipy.sparse.linalg" in after_run
     unused = ("scipy.integrate", "scipy.optimize", "scipy.interpolate",
               "scipy.special")
-    assert [m for m in out if m.startswith(unused)] == []
+    assert [m for m in after_run if m.startswith(unused)] == []
 
 
 def test_only_the_solver_and_runio_import_scipy():

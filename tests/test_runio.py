@@ -4,10 +4,13 @@ problem materialization, and the on-disk output contract."""
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from capmix import constitutive as cst
 from capmix import entropy as ent
@@ -227,6 +230,35 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
         first = (tmp_path / "a" / name).read_bytes()
         second = (tmp_path / "b" / name).read_bytes()
         assert first == second, name
+
+
+def test_manifest_names_scipy_on_a_run_without_a_factorisation(tmp_path):
+    # From equilibrium every load is zero, so no step reaches splu and the
+    # run never loads scipy.sparse; the manifest must still name scipy's
+    # version, and a rerun in another fresh interpreter the same bytes.
+    out = tmp_path / "out"
+    config_path = tmp_path / "equilibrium.cfg"
+    config_path.write_text("[solver]\nt_end = 3e-3\n[mesh]\nnum_cells = 8\n"
+                           f"[output]\ndirectory = {out}\n")
+    script = f"""
+import sys
+from capmix import cli
+assert cli.main(["run", {str(config_path)!r}]) == 0
+print("scipy.sparse" in sys.modules)
+"""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(runio.__file__)))
+    names = ("diagnostics.csv", "snapshots.csv", "manifest.json")
+    runs = []
+    for _ in range(2):
+        stdout = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, check=True,
+                                env=env).stdout
+        assert stdout.splitlines()[-1] == "False"
+        runs.append([(out / name).read_bytes() for name in names])
+    assert runs[0] == runs[1]
+    manifest = json.loads(runs[0][2])
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_write_outputs_filesystem_error(tmp_path):

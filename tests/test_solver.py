@@ -8,14 +8,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from capmix import constitutive as cst
 from capmix import entropy as ent
 from capmix import fem
 from capmix import solver
-from capmix.errors import (ArgumentError, EntropyViolationError,
-                           FixedPointError, LinearSolveError,
-                           PreconditionError)
+from capmix.errors import (ArgumentError, AssemblyError,
+                           EntropyViolationError, FixedPointError,
+                           LinearSolveError, PreconditionError)
 
 P0 = cst.default_params()
 SPEC = ent.DiffusionMatrixSpec()
@@ -107,8 +108,9 @@ def test_solver_config_validation(field, value, fragment):
 
 
 def test_solve_linear_refuses_an_unreachable_residual(monkeypatch):
+    # solve_linear imports splu at call time, so the patch goes on its module.
     factorisations, solves = [], []
-    splu = solver.splu
+    splu = scipy.sparse.linalg.splu
 
     def counted(mat):
         factorisations.append(1)
@@ -121,7 +123,7 @@ def test_solve_linear_refuses_an_unreachable_residual(monkeypatch):
 
         return Counted()
 
-    monkeypatch.setattr(solver, "splu", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
     with pytest.raises(LinearSolveError, match="residual .* exceeds"):
         solver.solve_linear(_assembled(), linear_tol=1e-20)
     # One factorisation, one solve, one residual check: no refinement.
@@ -192,6 +194,35 @@ def test_ladder_reports_a_rung_refused_on_its_first_evaluation():
     refusal = info.value.__cause__.__cause__
     assert type(refusal) is LinearSolveError
     assert str(refusal) in message
+
+
+def test_a_failed_step_carries_its_context_as_attributes():
+    # The 512-cell case above: the attributes say what its message says.
+    mesh = fem.build_mesh(512)
+    init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
+    with pytest.raises(FixedPointError) as info:
+        solver.run_simulation(init, P0, SPEC, solver.SolverConfig(t_end=2e-3))
+    error, step_error = info.value, info.value.__cause__
+    assert (error.step, error.time) == (1, 1e-3)
+    for err in (error, step_error):
+        assert (err.sigma, err.residual, err.refused) == (0.25, math.inf, 14)
+    assert not hasattr(step_error, "step")
+
+
+@pytest.mark.parametrize("error_type", [LinearSolveError, AssemblyError])
+def test_a_run_adds_step_and_time_to_every_solver_error(monkeypatch,
+                                                        error_type):
+    def fail(*args, **kwargs):
+        raise error_type("refused")
+
+    monkeypatch.setattr(solver, "solve_time_step", fail)
+    mesh = fem.build_mesh(8)
+    init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
+    with pytest.raises(error_type) as info:
+        solver.run_simulation(init, P0, SPEC, solver.SolverConfig(t_end=2e-3))
+    assert str(info.value) == "step 1 (t = 0.001): refused"
+    assert (info.value.step, info.value.time) == (1, 1e-3)
+    assert type(info.value.__cause__) is error_type
 
 
 def test_newton_finisher_stops_when_its_budget_runs_out():
