@@ -49,7 +49,6 @@ def main():
     print("  capmix validate run.cfg   # admissibility + derived exponents")
     print("  capmix run run.cfg        # simulate + write outputs")
     print("  capmix study run.cfg --kappas 1e-3,5e-4")
-    print("  capmix selftest           # structural invariant checks")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,11 @@
-"""Command-line front end: validate, run, study, selftest.
+"""Command-line front end: validate, run, study.
 
-Exit codes: 0 success, 2 configuration/validation failure, 3 solver
-failure, 4 entropy violation in strict mode.  Orchestration is
+Exit codes: 0 success, 2 configuration/validation failure or usage error,
+3 solver failure, 4 entropy violation in strict mode.  Orchestration is
 single-threaded; backend thread pools follow the standard environment
 variables (e.g. ``OPENBLAS_NUM_THREADS``), set before the process starts.
-``--seed N`` seeds the randomized parts of the self-test.  All result files
-are written by :mod:`capmix.runio` and are byte-stable across reruns of the
-same configuration.
+All result files are written by :mod:`capmix.runio` and are byte-stable
+across reruns of the same configuration.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ def _build_parser():
         prog="capmix",
         description=("Entropy-stable simulator for multicomponent two-phase "
                      "flow with dynamic capillary pressure."))
-    parser.add_argument("--seed", type=int, default=12345, metavar="N",
-                        help="seed for the randomized self-test checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate",
@@ -49,10 +46,6 @@ def _build_parser():
     p.add_argument("--epsilons", default="", metavar="LIST",
                    help="comma-separated non-increasing regularizations "
                         "(empty: skip the regularization ladder)")
-
-    sub.add_parser("selftest",
-                   help="run the structural invariant suite on the "
-                        "reference parameters")
     return parser
 
 
@@ -146,94 +139,6 @@ def _cmd_study(args):
     return _EXIT_OK
 
 
-def _cmd_selftest(args):
-    import numpy as np
-    from . import constitutive as cst
-    from . import diagnostics as diag
-    from . import entropy as ent
-    from . import fem, solver
-
-    rng = np.random.default_rng(args.seed)
-    params = cst.default_params()
-    dspec = ent.DiffusionMatrixSpec()
-    failures = []
-
-    def check(name, ok):
-        print(f"  {'ok  ' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures.append(name)
-
-    print("selftest (reference parameters, seed "
-          f"{args.seed}):")
-
-    rep = cst.validate_assumptions(params)
-    check("exponent admissibility accepted", rep.accepted)
-    check("derived endpoint exponents",
-          abs(rep.alpha1 - (-1.9)) < 1e-12 and abs(rep.alpha2 - (-2.0)) < 1e-12)
-
-    grid = np.linspace(1e-4, 1.0 - 1e-4, 10_000)
-    c = cst.eval_coeffs(grid, params)
-    check("capillary slope below degeneracy quotient",
-          bool(np.all(c.pc_prime <= c.tau_over_a)))
-
-    n = params.n_species
-    raw = rng.uniform(0.05, 1.0, size=(1000, n + 1))
-    s = 0.9 * raw[:, :n] / raw.sum(axis=1, keepdims=True)
-    w, _, _ = ent._w_many(s, s.sum(axis=1), s.sum(axis=1), params)
-    s_back, _, _ = ent._state_from_w_many(w, s.sum(axis=1), params)
-    check("transform round trip below 1e-10",
-          float(np.max(np.abs(s_back - s))) <= 1e-10)
-
-    ok_jmz = True
-    for _ in range(10_000):
-        a_v = rng.normal(size=n)
-        a_v /= np.linalg.norm(a_v)
-        b_v = rng.normal(size=n)
-        b_v /= np.linalg.norm(b_v)
-        v = rng.normal(size=n)
-        if not ent.jmz_inequality_check(a_v, b_v, v):
-            ok_jmz = False
-            break
-    check("projected quadratic-form lower bound", ok_jmz)
-
-    mesh = fem.build_mesh(16, 0.0, 1.0)
-    field = solver.sine_perturbation_initial(mesh, params, amplitude=0.1)
-    w0 = fem.NodalField(np.zeros((mesh.num_nodes, n)), mesh)
-    system = fem.assemble_system(w0, field, params, dspec, 1.0)
-    dense = solver._csc_operator(system).toarray()
-    sym = float(np.max(np.abs(dense - dense.T)))
-    eig = float(np.linalg.eigvalsh(dense).min())
-    check("assembled operator symmetric and positive definite",
-          sym <= 1e-12 and eig > 0.0)
-
-    eq = solver.equilibrium_initial(mesh, params)
-    cfg = solver.SolverConfig(t_end=0.01)
-    traj = solver.run_simulation(eq, params, dspec, cfg)
-    drift = max(float(np.max(np.abs(st.values - eq.values)))
-                for st in traj.states)
-    diss = max(max(r.diss_dbeta_sq, r.diss_capillary, r.diss_grad_dbeta,
-                   r.diss_eps_w, r.diss_proj_mu) for r in traj.diagnostics)
-    check("equilibrium stationary with zero dissipation",
-          drift <= 1e-9 and diss <= 1e-12)
-
-    traj = solver.run_simulation(field, params, dspec,
-                                 solver.SolverConfig(t_end=5e-3))
-    margins = [r.entropy_margin for r in traj.diagnostics[1:]]
-    lya = [r.lyapunov for r in traj.diagnostics]
-    mono = all(b <= a + 1e-12 for a, b in zip(lya, lya[1:]))
-    check("entropy inequality margins nonnegative", min(margins) >= 0.0)
-    check("lyapunov non-increasing", mono)
-    pos = min(float(st.values.min()) for st in traj.states)
-    top = max(float(st.totals.max()) for st in traj.states)
-    check("positivity and upper bound preserved", pos > 0.0 and top < 1.0)
-
-    if failures:
-        print(f"{len(failures)} check(s) failed")
-        return _EXIT_VALIDATION
-    print("all checks passed")
-    return _EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -246,7 +151,6 @@ def main(argv=None) -> int:
         "validate": _cmd_validate,
         "run": _cmd_run,
         "study": _cmd_study,
-        "selftest": _cmd_selftest,
     }
     try:
         return handlers[args.command](args)

@@ -81,13 +81,13 @@ class ModelParams:
                 raise ArgumentError(f"exponent {name} must be positive")
         if len(self.s_gamma) != self.n_species:
             raise ArgumentError("s_gamma must have one entry per species")
-        if any(v <= 0 for v in self.s_gamma):
+        if not all(v > 0 for v in self.s_gamma):
             raise ArgumentError("boundary composition entries must be positive")
         if sum(self.s_gamma) >= 1.0:
             raise ArgumentError("boundary composition must sum to less than 1")
         if not self.kappa > 0:
             raise ArgumentError("kappa must be positive")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ArgumentError("eps must be non-negative")
 
     @property

@@ -182,8 +182,8 @@ def _step_qpoint_data(state_new, state_prev, params, spec, grad_beta_prev):
     """
     mesh = state_new.mesh
     h = mesh.widths
-    w, _, _ = ent._w_many(state_new.values, state_new.totals,
-                          state_prev.totals, params)
+    w, _ = ent._w_many(state_new.values, state_new.totals,
+                       state_prev.totals, params)
 
     w_q = fem._interp_cells(w, fem._Q_XI)               # (nc, 2, n)
     prev_tot_q = fem._interp_cells(state_prev.totals, fem._Q_XI)

@@ -167,12 +167,19 @@ def _collect_entries(text):
     return entries
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _convert(raw, lineno, key, kind):
     try:
         if kind is float:
-            return float(raw)
+            return _finite(raw)
         if kind is int:
-            as_float = float(raw)
+            as_float = _finite(raw)
             if as_float != int(as_float):
                 raise ValueError("not an integer")
             return int(as_float)
@@ -187,7 +194,7 @@ def _convert(raw, lineno, key, kind):
             parts = [p for p in (s.strip() for s in raw.split(",")) if p]
             if not parts:
                 raise ValueError("empty list")
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(p) for p in parts)
         return raw  # plain string
     except ValueError as exc:
         raise ConfigParseError(
@@ -224,8 +231,9 @@ def parse_config(text: str) -> RunConfig:
         for section, schema in _SCHEMA.items())
 
     if ("n_species" in model_kw and "s_gamma" not in model_kw
-            and model_kw["n_species"] != 3):
-        # Re-default the boundary composition to the requested width.
+            and 0 < model_kw["n_species"] != 3):
+        # Re-default the boundary composition to the requested width;
+        # ModelParams refuses a width below 1.
         model_kw["s_gamma"] = tuple([0.45 / model_kw["n_species"]]
                                     * model_kw["n_species"])
     if "record_every" in out_kw:
@@ -375,13 +383,13 @@ def write_outputs(trajectory, config: RunConfig, directory) -> dict:
     """
     import scipy
 
-    params = trajectory.params if trajectory.params is not None else config.params
     records = trajectory.diagnostics
     manifest = {
         "config": render_config(config),
         "num_steps_recorded": len(records) - 1,
         "final_time": float(trajectory.times[-1]),
-        "apriori_report": _jsonable(diag.apriori_report(trajectory, params)),
+        "apriori_report": _jsonable(
+            diag.apriori_report(trajectory, trajectory.params)),
         "entropy_margins": _jsonable([r.entropy_margin for r in records[1:]]),
         "entropy_check_constants": _jsonable(
             records[-1].check_constants if records else {}),

@@ -91,7 +91,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.fp_tol > 0 and self.linear_tol > 0 and self.t_end > 0):
             raise ArgumentError("tolerances and t_end must be positive")
-        if self.record_every < 1:
+        if not self.record_every >= 1:
             raise ArgumentError("record_every must be at least 1")
 
 
@@ -114,9 +114,9 @@ class Trajectory:
     times: list
     states: list
     diagnostics: list
-    params: object = None
-    config: SolverConfig = None
-    apriori_totals: diag.AprioriTotals = None
+    params: object
+    config: SolverConfig
+    apriori_totals: diag.AprioriTotals
 
 
 @lru_cache(maxsize=16)

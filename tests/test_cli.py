@@ -1,10 +1,18 @@
 """Command-line entry point: subcommands, exit codes, and error mapping."""
 
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from capmix import cli, solver
-from capmix import entropy as ent
 from capmix.errors import EntropyViolationError, LinearSolveError
+
+SUBCOMMANDS = {"validate", "run", "study"}
 
 
 def _write_config(tmp_path, out_dir, extra=""):
@@ -227,22 +235,55 @@ def test_study_rejects_malformed_ladder(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_selftest_passes(capsys):
-    assert cli.main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert "FAIL" not in out
-
-
-def test_selftest_reports_a_failed_check(capsys, monkeypatch):
-    monkeypatch.setattr(ent, "jmz_inequality_check", lambda *args: False)
-    assert cli.main(["selftest"]) == 2
-    out = capsys.readouterr().out
-    assert "  FAIL  projected quadratic-form lower bound" in out
-    assert out.count("FAIL") == 1
-    assert out.endswith("1 check(s) failed\n")
-
-
 def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_help_lists_exactly_the_documented_subcommands(tmp_path):
+    # Run as ``python -m capmix.cli`` so the module's __main__ guard runs.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "capmix.cli", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    listed = re.search(r"\{([a-z,]+)\}", done.stdout).group(1)
+    assert set(listed.split(",")) == SUBCOMMANDS
+    assert "--seed" not in done.stdout
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines()
+                  if line.startswith("capmix ")}
+    assert documented == SUBCOMMANDS
+
+    cfg = _write_config(tmp_path, tmp_path / "out")
+    for argv in (["selftest"], ["--seed", "1", "validate", cfg]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+
+
+def test_cli_uses_only_public_capmix_names():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("capmix")):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        private.extend(f"line {node.lineno}: {name}" for name in names
+                       if name.startswith("_") and not name.endswith("__"))
+    assert private == []
+
+
+def test_non_finite_config_number_exits_2_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "nan.cfg"
+    path.write_text("[initial]\nprofile = sine_perturbation\n"
+                    "amplitude = nan\n")
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: line 3: value for 'amplitude' ('nan')" in err

@@ -284,6 +284,11 @@ def test_params_validation():
         cst.ModelParams(eps=-1e-6)
     with pytest.raises(ArgumentError):
         cst.ModelParams(s_gamma=(0.2, 0.2))
+    # Every check is written so that a NaN fails it.
+    for bad in ({"eps": math.nan}, {"s_gamma": (0.15, math.nan, 0.15)},
+                {"kappa": math.nan}):
+        with pytest.raises(ArgumentError):
+            cst.ModelParams(**bad)
     for name in ("lam", "gamma", "gamma1", "beta1", "beta2"):
         with pytest.raises(ArgumentError, match=f"exponent {name} must be"):
             cst.ModelParams(**{name: 0.0})

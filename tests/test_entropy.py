@@ -440,6 +440,9 @@ def test_diffusion_spec_validation():
         ent.DiffusionMatrixSpec(d0=0.0)
     with pytest.raises(ArgumentError):
         ent.DiffusionMatrixSpec(d0=2.0, d1=1.0)
+    for d0, d1 in ((1.0, np.nan), (np.nan, 1.0)):
+        with pytest.raises(ArgumentError):
+            ent.DiffusionMatrixSpec(kind="state_weighted", d0=d0, d1=d1)
 
 
 def test_hypocoercivity_constants_validation():

@@ -93,11 +93,36 @@ def test_full_document_parses():
      "line 2: unknown key 'rootfind_tol' in [model]"),
     ("[model]\ns_gamma = ,", "line 2: value for 's_gamma' (',') is not a "
      "valid tuple: empty list"),
+    ("[mesh]\nnum_cells = inf", "line 2: value for 'num_cells' ('inf') is "
+     "not a valid int: not a finite number"),
+    ("[output]\nrecord_every = inf", "line 2: value for 'record_every'"),
+    ("[initial]\nprofile = sine_perturbation\nspecies_index = 1e400",
+     "line 3: value for 'species_index' ('1e400') is not a valid int"),
+    ("[model]\neps = nan", "line 2: value for 'eps' ('nan') is not a valid "
+     "float: not a finite number"),
+    ("[model]\nkappa = inf", "line 2: value for 'kappa'"),
+    ("[diffusion]\nkind = state_weighted\nd1 = nan",
+     "line 3: value for 'd1'"),
+    ("[initial]\nprofile = sine_perturbation\namplitude = nan",
+     "line 3: value for 'amplitude'"),
+    ("[model]\ns_gamma = 0.15, -inf, 0.15", "line 2: value for 's_gamma' "
+     "('0.15, -inf, 0.15') is not a valid tuple: not a finite number"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ConfigParseError) as err:
         runio.parse_config(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+def test_every_numeric_key_refuses_non_finite_values(raw):
+    for section, schema in runio._SCHEMA.items():
+        for key, kind in schema.items():
+            if kind not in (float, int, tuple):
+                continue
+            with pytest.raises(ConfigParseError) as err:
+                runio.parse_config(f"[{section}]\n{key} = {raw}")
+            assert f"line 2: value for '{key}'" in str(err.value)
 
 
 def test_record_every_misplacement_hint():
@@ -134,6 +159,10 @@ def test_species_count_redefaults_boundary_composition():
     # An explicit composition wins over the re-default.
     cfg = runio.parse_config("[model]\nn_species = 2\ns_gamma = 0.3, 0.1")
     assert cfg.params.s_gamma == (0.3, 0.1)
+    # A width below 1 is refused, not re-defaulted (0 divided by zero).
+    for width in (0, -2):
+        with pytest.raises(ConfigValidationError, match="at least 1"):
+            runio.parse_config(f"[model]\nn_species = {width}")
 
 
 def test_render_parse_round_trip():

@@ -101,6 +101,7 @@ def test_solve_linear_refuses_a_non_finite_load():
     ("linear_tol", -1e-10, "must be positive"),
     ("t_end", 0.0, "must be positive"),
     ("record_every", 0, "at least 1"),
+    ("record_every", float("nan"), "at least 1"),
 ])
 def test_solver_config_validation(field, value, fragment):
     with pytest.raises(ArgumentError, match=fragment):
