@@ -27,7 +27,7 @@ class AssemblyError(CapmixError, ArithmeticError):
 
 
 class LinearSolveError(CapmixError, ArithmeticError):
-    """Linear solver failed to reach the requested relative residual."""
+    """Linear solve singular, non-finite, or above its backward error bound."""
 
 
 class FixedPointError(CapmixError, ArithmeticError):

@@ -301,7 +301,9 @@ def render_config(config: RunConfig) -> str:
 
 
 def build_problem(config: RunConfig):
-    """Materialize (params, diffusion, mesh, initial_state, solver_config)."""
+    """Materialize (params, diffusion, mesh, initial_state, solver_config);
+    ArgumentError when t_end / kappa is no admissible step count."""
+    slv.step_count(config.solver.t_end, config.params.kappa)
     mesh = fem.build_mesh(config.num_cells, config.x_left, config.x_right)
     profile = config.initial_profile
     args = config.initial_args

@@ -46,6 +46,7 @@ __all__ = [
     "Trajectory",
     "solve_linear",
     "solve_time_step",
+    "step_count",
     "run_simulation",
     "refinement_study",
     "equilibrium_initial",
@@ -69,6 +70,13 @@ _FP_MAX_ITERS = 100
 _HOMOTOPY_STEPS = 4
 _GMRES_RESTART = 20
 _NEWTON_MAX_OUTER = 8
+# A linear solve is accepted at a normwise backward error
+# ||b - Ax|| / (||A||_F ||x|| + ||b||) up to this (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., sec. 7.1): about 4500 unit
+# roundoffs, room for a pivoted LU's growth at any mesh size.
+_LINEAR_BACKWARD_TOL = 1e-12
+# Most implicit steps one run may take; 10**6 steps at 64 cells take hours.
+_MAX_STEPS = 10**6
 
 
 class _BudgetExhausted(Exception):
@@ -83,14 +91,13 @@ class SolverConfig:
     """
 
     fp_tol: float = 1e-9
-    linear_tol: float = 1e-10
     t_end: float = 0.05
     record_every: int = 1
     strict_entropy: bool = True
 
     def __post_init__(self):
-        if not (self.fp_tol > 0 and self.linear_tol > 0 and self.t_end > 0):
-            raise ArgumentError("tolerances and t_end must be positive")
+        if not (self.fp_tol > 0 and self.t_end > 0):
+            raise ArgumentError("fp_tol and t_end must be positive")
         if not self.record_every >= 1:
             raise ArgumentError("record_every must be at least 1")
 
@@ -160,15 +167,13 @@ def _csc_operator(system: fem.LinearSystem):
                       shape=(ni * n, ni * n))
 
 
-def solve_linear(system: fem.LinearSystem,
-                 linear_tol=SolverConfig.linear_tol) -> np.ndarray:
-    """Solve the assembled SPD system to a verified relative residual.
+def solve_linear(system: fem.LinearSystem) -> np.ndarray:
+    """Solve the assembled system to a verified normwise backward error.
 
     Gathers the node blocks into CSC, factorises them once with a sparse
-    LU, solves, and checks the achieved residual ||Ax - b|| once against
-    linear_tol times the load norm ||b||.  linear_tol defaults to the run
-    configuration's.  Raises LinearSolveError on a failed factorisation, a
-    non-finite solution or a residual above the allowed one.
+    LU, solves, and checks the residual once against _LINEAR_BACKWARD_TOL.
+    Raises LinearSolveError on a failed factorisation, a non-finite
+    solution or a residual above the allowed one.
     """
     rhs = system.rhs
     if not rhs.any():
@@ -176,18 +181,20 @@ def solve_linear(system: fem.LinearSystem,
     from scipy.sparse.linalg import splu
 
     mat = _csc_operator(system)
-    allowed = linear_tol * float(np.linalg.norm(rhs))
     try:
         x = splu(mat).solve(rhs)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
     if not np.isfinite(x).all():
         raise LinearSolveError("linear solve produced non-finite values")
-    resid = float(np.linalg.norm(rhs - mat @ x))
+    resid = np.linalg.norm(rhs - mat @ x)
+    scale = np.linalg.norm(system.blocks) * np.linalg.norm(x)
+    allowed = _LINEAR_BACKWARD_TOL * (scale + np.linalg.norm(rhs))
     if resid > allowed:
         raise LinearSolveError(
             f"linear solve residual {resid:.3e} exceeds "
-            f"{linear_tol:.1e} * ||rhs|| = {allowed:.3e}")
+            f"{_LINEAR_BACKWARD_TOL:.0e} * (||A|| ||x|| + ||rhs||) "
+            f"= {allowed:.3e}")
     return x
 
 
@@ -304,7 +311,7 @@ def _fixed_point(s_prev: fem.NodalField, params, spec, cfg: SolverConfig,
             system = fem.assemble_system(fem.NodalField(wvals, mesh), s_prev,
                                          params, spec, sigma,
                                          grad_beta_prev=grad_beta_prev)
-            solved = solve_linear(system, cfg.linear_tol)
+            solved = solve_linear(system)
         except (AssemblyError, LinearSolveError) as exc:
             refused, last_refusal = refused + 1, exc
             raise
@@ -448,6 +455,16 @@ def solve_time_step(s_prev: fem.NodalField, params, spec,
     return new_state, stats
 
 
+def step_count(t_end, kappa) -> int:
+    """round(t_end / kappa), a run's number of implicit steps; raises
+    ArgumentError, naming t_end / kappa, unless it rounds to 1.._MAX_STEPS."""
+    steps = t_end / kappa
+    if not 0.5 < steps < _MAX_STEPS + 0.5:
+        raise ArgumentError(f"t_end / kappa = {t_end} / {kappa} = {steps:.7g} "
+                            f"time steps; a run takes 1 to {_MAX_STEPS}")
+    return round(steps)
+
+
 def run_simulation(initial: fem.NodalField, params, spec,
                    solver_cfg: SolverConfig) -> Trajectory:
     """March round(t_end/kappa) implicit Euler steps from the initial state.
@@ -470,9 +487,7 @@ def run_simulation(initial: fem.NodalField, params, spec,
         raise PreconditionError(f"invalid initial state: {exc}") from exc
 
     kappa = params.kappa
-    num_steps = int(round(solver_cfg.t_end / kappa))
-    if num_steps < 1:
-        raise ArgumentError("t_end must cover at least one time step")
+    num_steps = step_count(solver_cfg.t_end, kappa)
 
     rec0 = diag.initial_record(initial, params, spec)
     totals = diag.AprioriTotals()

@@ -48,6 +48,28 @@ def test_validate_rejects_bad_exponents(tmp_path, capsys):
     assert "error:" in err and "5 < beta1" in err
 
 
+@pytest.mark.parametrize("kappa, t_end, outcome", [
+    ("1e-3", "1e-3", "accepted"),
+    ("1e-6", "1.0", "accepted"),
+    ("1e-3", "1e-4", "= 0.1 time steps; a run takes 1 to 1000000"),
+    ("1e-6", "1.000001", "= 1000001 time steps"),
+    ("1e-300", "3e-3", "= 3e+297 time steps"),
+])
+def test_validate_bounds_the_step_count(tmp_path, capsys, kappa, t_end,
+                                        outcome):
+    # validate refuses what run would refuse, and a count no run could
+    # finish.
+    path = tmp_path / "steps.cfg"
+    path.write_text(f"[model]\nkappa = {kappa}\n[solver]\nt_end = {t_end}\n"
+                    "[mesh]\nnum_cells = 8\n")
+    code = cli.main(["validate", str(path)])
+    out, err = capsys.readouterr()
+    if outcome == "accepted":
+        assert code == 0 and "parameters accepted" in out
+    else:
+        assert code == 2 and outcome in err, err
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert cli.main(["validate", str(tmp_path / "absent.cfg")]) == 2
     assert "error:" in capsys.readouterr().err

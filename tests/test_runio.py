@@ -89,6 +89,8 @@ def test_full_document_parses():
      "line 2: unknown key 'fp_max_iters' in [solver]"),
     ("[solver]\nt_end = 0.05\nhomotopy_steps = 4",
      "line 3: unknown key 'homotopy_steps' in [solver]"),
+    ("[solver]\nlinear_tol = 1e-10",
+     "line 2: unknown key 'linear_tol' in [solver]"),
     ("[model]\nrootfind_tol = 1e-12",
      "line 2: unknown key 'rootfind_tol' in [model]"),
     ("[model]\ns_gamma = ,", "line 2: value for 's_gamma' (',') is not a "
@@ -183,6 +185,18 @@ def test_render_parse_round_trip():
         initial_args={"left_state": (0.3, 0.2, 0.1),
                       "right_state": (0.1, 0.2, 0.3)})
     assert runio.parse_config(runio.render_config(step)) == step
+
+
+def test_readme_config_block_lists_the_schema():
+    # Every key of README's example config is a key of its section, so
+    # parsing it succeeds, and its [solver] block lists every solver key:
+    # a deleted knob cannot linger in the docs.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    runio.parse_config(block)
+    solver_keys = runio._collect_entries(block)["solver"]
+    assert set(solver_keys) == set(runio._SCHEMA["solver"])
 
 
 def test_build_problem_materializes_components():

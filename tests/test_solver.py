@@ -3,7 +3,6 @@ composition, Lyapunov monotonicity on a perturbed run, trajectory recording,
 initial-profile builders, and the refinement-study report."""
 
 import dataclasses
-import inspect
 import math
 
 import numpy as np
@@ -42,7 +41,7 @@ def _block_matvec(blocks, x):
 
 def test_solve_linear_matches_dense_factorisation():
     system = _assembled()
-    x = solver.solve_linear(system, linear_tol=1e-12)
+    x = solver.solve_linear(system)
     mat = solver._csc_operator(system)
     dense = np.linalg.solve(mat.toarray(), system.rhs)
     assert np.allclose(x, dense, rtol=1e-10, atol=1e-14)
@@ -64,7 +63,7 @@ def test_solve_linear_large_system_meets_its_residual():
     blocks[0, 0] = blocks[-1, 2] = 0.0
     rhs = np.random.default_rng(12).standard_normal(n * nodes)
     system = fem.LinearSystem(blocks, rhs)
-    x = solver.solve_linear(system, linear_tol=1e-10)
+    x = solver.solve_linear(system)
     resid = np.linalg.norm(_block_matvec(blocks, x) - rhs)
     assert resid <= 1e-10 * np.linalg.norm(rhs)
 
@@ -98,7 +97,6 @@ def test_solve_linear_refuses_a_non_finite_load():
 
 @pytest.mark.parametrize("field, value, fragment", [
     ("fp_tol", 0.0, "must be positive"),
-    ("linear_tol", -1e-10, "must be positive"),
     ("t_end", 0.0, "must be positive"),
     ("record_every", 0, "at least 1"),
     ("record_every", float("nan"), "at least 1"),
@@ -108,43 +106,43 @@ def test_solver_config_validation(field, value, fragment):
         solver.SolverConfig(**{field: value})
 
 
-def test_solve_linear_refuses_an_unreachable_residual(monkeypatch):
+def _perturbed_splu(monkeypatch, perturb):
+    """Patch splu so that the solve of factorisation k (counted from 0) is
+    off by a seeded random vector of relative size 1e-8 when perturb(k).
+    Returns the lists that count factorisations and solves."""
     # solve_linear imports splu at call time, so the patch goes on its module.
     factorisations, solves = [], []
     splu = scipy.sparse.linalg.splu
+    rng = np.random.default_rng(3)
 
-    def counted(mat):
-        factorisations.append(1)
+    def patched(mat):
+        call = len(factorisations)
+        factorisations.append(call)
         lu = splu(mat)
 
-        class Counted:
+        class Perturbed:
             def solve(self, rhs):
-                solves.append(1)
-                return lu.solve(rhs)
+                solves.append(call)
+                x = lu.solve(rhs)
+                if perturb(call):
+                    d = rng.standard_normal(x.shape)
+                    x = x + 1e-8 * np.linalg.norm(x) / np.linalg.norm(d) * d
+                return x
 
-        return Counted()
+        return Perturbed()
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", patched)
+    return factorisations, solves
+
+
+def test_solve_linear_refuses_an_unreachable_residual(monkeypatch):
+    # A solution off by 1e-8 relative has a backward error far above the
+    # allowed 1e-12.
+    factorisations, solves = _perturbed_splu(monkeypatch, lambda call: True)
     with pytest.raises(LinearSolveError, match="residual .* exceeds"):
-        solver.solve_linear(_assembled(), linear_tol=1e-20)
+        solver.solve_linear(_assembled())
     # One factorisation, one solve, one residual check: no refinement.
     assert (len(factorisations), len(solves)) == (1, 1)
-
-
-def test_solve_linear_defaults_to_the_run_tolerance():
-    # Called without a tolerance, solve_linear asks for the run's residual
-    # and meets it on an ordinary 64-cell system.
-    default = inspect.signature(solver.solve_linear).parameters["linear_tol"]
-    assert default.default == solver.SolverConfig().linear_tol
-    mesh = fem.build_mesh(64)
-    s_prev = solver.sine_perturbation_initial(mesh, P0, amplitude=0.05)
-    rng = np.random.default_rng(5)
-    w = fem.NodalField(0.05 * rng.standard_normal((mesh.num_nodes, 3)), mesh)
-    system = fem.assemble_system(w, s_prev, P0, SPEC, 1.0,
-                                 fem.beta_gradient_field(s_prev, P0))
-    x = solver.solve_linear(system)
-    resid = np.linalg.norm(solver._csc_operator(system) @ x - system.rhs)
-    assert resid <= 1e-10 * np.linalg.norm(system.rhs)
 
 
 def test_run_errors_name_their_step(monkeypatch):
@@ -160,54 +158,86 @@ def test_run_errors_name_their_step(monkeypatch):
     assert type(info.value.__cause__) is FixedPointError
 
 
-def test_failed_step_names_its_refused_linear_solves():
-    # The reference problem at 384 cells fails step 1: its linear solves
-    # miss linear_tol by a rounding-level margin, the trials are refused and
-    # the ladder stalls at sigma 0.25.  The error alone must say so.
-    mesh = fem.build_mesh(384)
+def test_failed_step_names_its_refused_linear_solves(monkeypatch):
+    # Every second linear solve is refused: the trials are refused, the
+    # full-load solve and the ladder stall, the last at sigma 0.25 with 8
+    # refusals in all.  The error alone must say so.
+    _perturbed_splu(monkeypatch, lambda call: call % 2 == 1)
+    mesh = fem.build_mesh(16)
     init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
     with pytest.raises(FixedPointError) as info:
         solver.run_simulation(init, P0, SPEC, solver.SolverConfig(t_end=2e-3))
     message = str(info.value)
     assert message.startswith("step 1 (t = 0.001): fixed-point iteration "
-                              "failed (last sigma 0.250"), message
-    assert "trial evaluations refused, last: linear solve residual" in message
-    assert "exceeds 1.0e-10 * ||rhs||" in message
+                              "failed (last sigma 0.250, residual "), message
+    assert ("8 trial evaluations refused, last: linear solve residual"
+            in message)
+    assert "exceeds 1e-12 * (||A|| ||x|| + ||rhs||)" in message
     refusal = info.value.__cause__.__cause__
     assert type(refusal) is LinearSolveError
     assert str(refusal) in message
 
 
-def test_ladder_reports_a_rung_refused_on_its_first_evaluation():
-    # At 512 cells the full-load solve fails with 13 of its trials refused,
-    # and the ladder's first rung is refused on its first evaluation, from
-    # w = 0, before any iterate is accepted.  The step still ends in the
-    # ladder's error, naming the rung and the refusals.
-    mesh = fem.build_mesh(512)
+def test_ladder_reports_a_rung_refused_on_its_first_evaluation(monkeypatch):
+    # Every linear solve after the first is refused: the full-load solve
+    # fails with 4 of its trials refused, and the ladder's first rung is
+    # refused on its first evaluation, from w = 0, before any iterate is
+    # accepted.  The step still ends in the ladder's error, naming the rung
+    # and the refusals.
+    _perturbed_splu(monkeypatch, lambda call: call >= 1)
+    mesh = fem.build_mesh(16)
     init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
     with pytest.raises(FixedPointError) as info:
         solver.run_simulation(init, P0, SPEC, solver.SolverConfig(t_end=2e-3))
     message = str(info.value)
     assert message.startswith(
         "step 1 (t = 0.001): fixed-point iteration failed (last sigma 0.250, "
-        "no evaluation accepted); 14 trial evaluations refused, last: linear "
+        "no evaluation accepted); 5 trial evaluations refused, last: linear "
         "solve residual "), message
     refusal = info.value.__cause__.__cause__
     assert type(refusal) is LinearSolveError
     assert str(refusal) in message
+    error, step_error = info.value, info.value.__cause__
+    for err in (error, step_error):
+        assert (err.sigma, err.residual, err.refused) == (0.25, math.inf, 5)
 
 
 def test_a_failed_step_carries_its_context_as_attributes():
-    # The 512-cell case above: the attributes say what its message says.
-    mesh = fem.build_mesh(512)
-    init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
+    # A 3-species step profile at 256 cells stalls just above fp_tol on the
+    # ladder's first rung, with no solve refused.  The attributes say what
+    # its message says.
+    mesh = fem.build_mesh(256)
+    init = solver.step_profile_initial(mesh, P0, (0.4, 0.15, 0.15),
+                                       (0.045, 0.15, 0.15))
     with pytest.raises(FixedPointError) as info:
         solver.run_simulation(init, P0, SPEC, solver.SolverConfig(t_end=2e-3))
     error, step_error = info.value, info.value.__cause__
     assert (error.step, error.time) == (1, 1e-3)
     for err in (error, step_error):
-        assert (err.sigma, err.residual, err.refused) == (0.25, math.inf, 14)
+        assert (err.sigma, err.refused) == (0.25, 0)
+        assert solver.SolverConfig().fp_tol < err.residual < 2e-9
+    assert f"residual {error.residual:.3e} > fp_tol" in str(error)
     assert not hasattr(step_error, "step")
+
+
+@pytest.mark.parametrize("num_species, num_cells, spec", [
+    # The reference problem at 1024 cells.
+    (3, 1024, SPEC),
+    (6, 256, ent.DiffusionMatrixSpec(kind="state_weighted", d0=1.0, d1=2.0)),
+], ids=["reference-1024-cells", "6-species-state-weighted-256-cells"])
+def test_fine_meshes_run_under_strict_entropy(num_species, num_cells, spec):
+    # Each linear solve is accepted by its backward error, which does not
+    # fall below the rounding floor as the mesh is refined.
+    params = cst.default_params(n_species=num_species,
+                                s_gamma=(0.45 / num_species,) * num_species)
+    mesh = fem.build_mesh(num_cells)
+    init = solver.sine_perturbation_initial(mesh, params, amplitude=0.1)
+    traj = solver.run_simulation(init, params, spec,
+                                 solver.SolverConfig(t_end=2e-3))
+    assert [rec.step for rec in traj.diagnostics] == [0, 1, 2]
+    for rec in traj.diagnostics[1:]:
+        assert rec.entropy_margin >= 0.0
+        assert rec.min_species > 0.0 and rec.max_total < 1.0
 
 
 @pytest.mark.parametrize("error_type", [LinearSolveError, AssemblyError])
@@ -265,7 +295,7 @@ def test_anderson_phase_stops_after_five_blow_ups(monkeypatch):
     monkeypatch.setattr(fem, "assemble_system",
                         lambda w_star, *args, **kwargs: w_star.values[1:-1])
     monkeypatch.setattr(solver, "solve_linear",
-                        lambda interior, tol: c - 100.0 * interior.ravel())
+                        lambda interior: c - 100.0 * interior.ravel())
     budgets = []
     newton = solver._newton_polish
 
