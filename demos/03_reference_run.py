@@ -48,13 +48,13 @@ def main():
     print(f"admissibility along the run: min S_i = {mins:.4e} > 0, "
           f"max total = {maxs:.6f} < 1")
 
-    report = diag.apriori_report(traj, params)
+    report = diag.apriori_report(traj)
     print("\na-priori bound quantities (finite = the estimates are active):")
     for key in ("sup_entropy_integral", "dkbeta_L2L2", "capillary_L2L2",
                 "eps_w_L2H1", "proj_mu_L2L2", "dt_Hminus1_L2"):
         print(f"  {key:<24} {report[key]:.6e}")
 
-    residual = diag.weak_residual(traj, params, spec, 3)
+    residual = diag.weak_residual(traj, 3)
     print(f"\nweak-form residual against smooth test functions: {residual:.3e}")
 
     config = runio.RunConfig(params=params, solver=cfg,

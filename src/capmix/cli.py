@@ -34,9 +34,6 @@ def _build_parser():
 
     p = sub.add_parser("run", help="run a simulation and write its outputs")
     p.add_argument("config", help="path to a configuration file")
-    p.add_argument("--strict-entropy", action="store_true",
-                   help="abort with exit code 4 on the first violated "
-                        "entropy check (overrides the config)")
 
     p = sub.add_parser("study",
                        help="time-step / regularization refinement study")
@@ -90,12 +87,8 @@ def _cmd_validate(args):
 
 
 def _cmd_run(args):
-    from dataclasses import replace
     from . import runio, solver
     config = runio.parse_config(_read_config(args.config))
-    if args.strict_entropy and not config.solver.strict_entropy:
-        config = replace(config,
-                         solver=replace(config.solver, strict_entropy=True))
     params, dspec, mesh, initial, solver_cfg = runio.build_problem(config)
     traj = solver.run_simulation(initial, params, dspec, solver_cfg)
     manifest = runio.write_outputs(traj, config, config.output_dir)

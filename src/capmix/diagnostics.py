@@ -122,9 +122,10 @@ def _admissible_exponents(params):
 # Lyapunov functional
 # ---------------------------------------------------------------------------
 
-def _lyapunov_parts(state, params, mesh, grad_beta):
+def _lyapunov_parts(state, params, grad_beta):
     """(mass-lumped integral of the relative free energy, squared L2 norm of
     the beta-gradient memory): the two shares of the Lyapunov value."""
+    mesh = state.mesh
     dens = ent.relative_free_energy(state.values, params)
     bulk = float(np.sum(mesh.lumped_masses * dens))
     grad_sq = float(np.sum(mesh.widths * np.einsum("q,cq->c", fem._Q_W,
@@ -132,10 +133,10 @@ def _lyapunov_parts(state, params, mesh, grad_beta):
     return bulk, grad_sq
 
 
-def lyapunov_functional(state: fem.NodalField, params, mesh: fem.Mesh,
+def lyapunov_functional(state: fem.NodalField, params,
                         grad_beta=None) -> float:
     """Mass-lumped integral of the relative free energy plus half the squared
-    L2 norm of the beta-gradient memory.
+    L2 norm of the beta-gradient memory, on the state's mesh.
 
     grad_beta holds the per-cell quadrature samples of d beta(S)/dx the run
     carries (shape (num_cells, num_quadrature_points)).  Omitted, it is
@@ -144,7 +145,7 @@ def lyapunov_functional(state: fem.NodalField, params, mesh: fem.Mesh,
     """
     if grad_beta is None:
         grad_beta = fem.beta_gradient_field(state, params)
-    bulk, grad_sq = _lyapunov_parts(state, params, mesh, grad_beta)
+    bulk, grad_sq = _lyapunov_parts(state, params, grad_beta)
     return bulk + 0.5 * grad_sq
 
 
@@ -178,8 +179,10 @@ def _step_qpoint_data(state_new, state_prev, params, spec, grad_beta_prev):
     forms use them.  grad_beta_prev is the beta-gradient memory the step was
     assembled with; x_tilde adds its chain-rule share to the raw recovered
     gradient, d_tilde is the quadrature backward difference of the memory,
-    and g_new = tau * x_tilde is the memory the step hands on.
+    and g_new = tau * x_tilde is the memory the step hands on.  Refuses
+    states on different meshes with ArgumentError.
     """
+    fem._require_same_mesh(state_new, state_prev, "state_new and state_prev")
     mesh = state_new.mesh
     h = mesh.widths
     w, _ = ent._w_many(state_new.values, state_new.totals,
@@ -219,15 +222,15 @@ def _hminus1_sq(mesh, f_nodal):
     return h @ q**2
 
 
-def _instantaneous_apriori(state, params, mesh, grad_beta, rep):
+def _instantaneous_apriori(state, params, grad_beta, rep):
     """State-only bound quantities (suprema trackers and L^6/L^p integrals)
     and the Lyapunov value, from one evaluation of its two shares.
     grad_beta is the beta-gradient memory attached to the state, rep the
     exponent report of the admissible params.  Returns (quantities,
     lyapunov)."""
-    m = mesh.lumped_masses
+    m = state.mesh.lumped_masses
     totals = state.totals
-    bulk, grad_beta_sq = _lyapunov_parts(state, params, mesh, grad_beta)
+    bulk, grad_beta_sq = _lyapunov_parts(state, params, grad_beta)
     out = {
         "entropy_integral": bulk,
         "grad_beta_l2": math.sqrt(grad_beta_sq),
@@ -247,10 +250,8 @@ def initial_record(state: fem.NodalField, params, spec) -> DiagnosticsRecord:
     the state itself.  Refuses an inadmissible parameter set with
     PreconditionError, as parsing a configuration refuses it."""
     rep = _admissible_exponents(params)
-    mesh = state.mesh
     grad_beta = fem.beta_gradient_field(state, params)
-    apriori, lyapunov = _instantaneous_apriori(state, params, mesh, grad_beta,
-                                               rep)
+    apriori, lyapunov = _instantaneous_apriori(state, params, grad_beta, rep)
     apriori.update({"grad_dkbeta_lq_int": 0.0, "dt_hminus1_sq": 0.0})
     return DiagnosticsRecord(
         step=0, time=0.0,
@@ -262,14 +263,16 @@ def initial_record(state: fem.NodalField, params, spec) -> DiagnosticsRecord:
         fp_iters=0,
         grad_beta=grad_beta,
         apriori=apriori,
-        check_constants=_entropy_check_constants(params, spec, mesh))
+        check_constants=_entropy_check_constants(params, spec, state.mesh))
 
 
 def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
-                       params, spec, mesh: fem.Mesh, grad_beta_prev, step=0,
-                       time=0.0, fp_iters=0) -> DiagnosticsRecord:
+                       params, spec, grad_beta_prev, step=0, time=0.0,
+                       fp_iters=0) -> DiagnosticsRecord:
     """Evaluate every dissipation integral of one completed step with the
-    assembly quadratures (lumped time terms, two-point Gauss flux terms).
+    assembly quadratures (lumped time terms, two-point Gauss flux terms), on
+    the mesh of state_new; a state_prev on another mesh is refused with
+    ArgumentError.
 
     grad_beta_prev is the beta-gradient memory the step was assembled with
     (the previous record's grad_beta).  The returned record's grad_beta is
@@ -278,6 +281,7 @@ def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
     """
     rep = _admissible_exponents(params)
     kappa = params.kappa
+    mesh = state_new.mesh
     m = mesh.lumped_masses
     h = mesh.widths
     data = _step_qpoint_data(state_new, state_prev, params, spec,
@@ -304,7 +308,7 @@ def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
     grad_pi = (pi_w[1:] - pi_w[:-1]) / h[:, None]
     diss_proj_mu = float(np.sum(h[:, None] * grad_pi**2))
 
-    apriori, lyapunov = _instantaneous_apriori(state_new, params, mesh,
+    apriori, lyapunov = _instantaneous_apriori(state_new, params,
                                                data["g_new"], rep)
     # Backward difference of the beta-gradient memory, in L^q space.
     apriori["grad_dkbeta_lq_int"] = float(np.sum(
@@ -328,12 +332,13 @@ def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
         check_constants=_entropy_check_constants(params, spec, mesh))
 
 
-def check_entropy_step(l_prev, l_new, budget: DiagnosticsRecord, kappa,
+def check_entropy_step(l_prev, budget: DiagnosticsRecord, kappa,
                        tol) -> EntropyCheckResult:
     """Pass/fail of the per-step entropy inequality with signed margin.
 
-    Passes iff l_new + kappa * (weighted dissipation sum) <= l_prev + tol,
-    with the weights taken from the budget's check_constants.
+    Passes iff budget.lyapunov + kappa * (weighted dissipation sum)
+    <= l_prev + tol, with the weights taken from the budget's
+    check_constants.
     """
     cc = budget.check_constants
     if not cc:
@@ -343,7 +348,7 @@ def check_entropy_step(l_prev, l_new, budget: DiagnosticsRecord, kappa,
                 + 0.25 * budget.diss_grad_dbeta
                 + cc["c_w"] * budget.diss_eps_w
                 + cc["c_mu"] * budget.diss_proj_mu)
-    margin = (l_prev + tol) - (l_new + kappa * weighted)
+    margin = (l_prev + tol) - (budget.lyapunov + kappa * weighted)
     return EntropyCheckResult(passed=bool(margin >= 0.0),
                               margin=float(margin),
                               weighted_dissipation=float(weighted))
@@ -388,12 +393,13 @@ class AprioriTotals:
             self.time_sum[key] = self.time_sum.get(key, 0.0) + kappa * value
 
 
-def apriori_report(trajectory, params) -> dict:
+def apriori_report(trajectory) -> dict:
     """Aggregate the bound quantities over every step of a run, from the
-    trajectory's running totals (``AprioriTotals``)."""
+    trajectory's running totals (``AprioriTotals``) and the exponents of
+    its parameter set."""
     if not trajectory.diagnostics:
         raise ArgumentError("trajectory has no diagnostics records")
-    rep = _admissible_exponents(params)
+    rep = _admissible_exponents(trajectory.params)
     totals = trajectory.apriori_totals
     sup, integral = totals.sup, totals.time_sum
     return {
@@ -416,9 +422,10 @@ def apriori_report(trajectory, params) -> dict:
     }
 
 
-def weak_residual(trajectory, params, spec, num_test_functions) -> float:
+def weak_residual(trajectory, num_test_functions) -> float:
     """Maximum weak-form residual against sin^2 space bubbles times interior
-    time hats, evaluated with the scheme's own quadratures and fluxes.
+    time hats, evaluated with the scheme's own quadratures and fluxes and
+    the parameters and diffusion spec the run was made with.
 
     For the scheme's solution this is a consistency measure (interpolation
     error of the smooth test functions plus solver tolerances); it must
@@ -432,8 +439,11 @@ def weak_residual(trajectory, params, spec, num_test_functions) -> float:
         raise ArgumentError("trajectory too short for a weak residual")
     if not records:
         raise ArgumentError("trajectory has no diagnostics records")
-    if num_test_functions < 1:
-        raise ArgumentError("need at least one test function")
+    if not (float(num_test_functions).is_integer()
+            and num_test_functions >= 1):
+        raise ArgumentError(f"need a whole number of test functions, at "
+                            f"least one; got {num_test_functions!r}")
+    num_test_functions = int(num_test_functions)
     # Each record pairs with the one before it as one step of the scheme.
     for before, after in zip(records, records[1:]):
         if after.step != before.step + 1:
@@ -441,6 +451,7 @@ def weak_residual(trajectory, params, spec, num_test_functions) -> float:
                 f"weak_residual needs every step recorded; the records skip "
                 f"from step {before.step} to {after.step} (stride "
                 f"{after.step - before.step})")
+    params, spec = trajectory.params, trajectory.spec
     mesh = states[0].mesh
     nodes = mesh.nodes
     length = mesh.x_right - mesh.x_left
@@ -487,15 +498,16 @@ def weak_residual(trajectory, params, spec, num_test_functions) -> float:
     return float(np.max(np.abs(acc)))
 
 
-def gibbs_duhem_check(state: fem.NodalField, params, mesh: fem.Mesh) -> float:
-    """L2 norm of the cellwise defect sum_i S_i grad mu_i - grad Lambda, with
-    Lambda(S) = S f0(S) - E(S) the thermodynamic pressure kernel and chord
-    gradients of the nodal interpolants."""
+def gibbs_duhem_check(state: fem.NodalField, params) -> float:
+    """L2 norm, on the state's mesh, of the cellwise defect
+    sum_i S_i grad mu_i - grad Lambda, with Lambda(S) = S f0(S) - E(S) the
+    thermodynamic pressure kernel and chord gradients of the nodal
+    interpolants."""
     v = state.values
     totals = state.totals
     mu = ent.chem_potentials(v, params)
     lam = totals * cst.f0_integral(totals, params) - cst.entropy_E(totals, params)
-    h = mesh.widths
+    h = state.mesh.widths
     s_bar = 0.5 * (v[1:] + v[:-1])
     defect = (np.sum(s_bar * np.diff(mu, axis=0), axis=1) - np.diff(lam)) / h
     return float(np.sqrt(np.sum(h * defect**2)))

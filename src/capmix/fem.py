@@ -115,7 +115,7 @@ class Mesh:
 
 def build_mesh(num_cells, x_left=0.0, x_right=1.0) -> Mesh:
     """Uniform mesh with num_cells >= 2 cells on (x_left, x_right)."""
-    if int(num_cells) != num_cells or num_cells < 2:
+    if not (float(num_cells).is_integer() and num_cells >= 2):
         raise ArgumentError(f"num_cells must be an integer >= 2; got {num_cells!r}")
     if not x_left < x_right:
         raise ArgumentError("x_left must be less than x_right")
@@ -178,6 +178,14 @@ class LinearSystem:
 
     blocks: np.ndarray
     rhs: np.ndarray
+
+
+def _require_same_mesh(a: NodalField, b: NodalField, names):
+    """Refuse, with ArgumentError naming ``names``, two fields whose meshes
+    have different nodes."""
+    if a.mesh is not b.mesh and not np.array_equal(a.mesh.nodes,
+                                                   b.mesh.nodes):
+        raise ArgumentError(f"{names} live on different meshes")
 
 
 def _lumped_l2(vv, mesh: Mesh) -> float:
@@ -319,9 +327,8 @@ def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
     Raises AssemblyError where the state recovery or a frozen coefficient
     fails at the iterate.
     """
+    _require_same_mesh(w_star, s_prev, "w_star and s_prev")
     mesh = w_star.mesh
-    if s_prev.mesh is not mesh and not np.array_equal(s_prev.mesh.nodes, mesh.nodes):
-        raise ArgumentError("w_star and s_prev live on different meshes")
     if not 0.0 <= sigma <= 1.0:
         raise ArgumentError("sigma must lie in [0, 1]")
     n = params.n_species

@@ -53,9 +53,12 @@ __all__ = [
     "DIAGNOSTICS_HEADER",
 ]
 
-DIAGNOSTICS_HEADER = ("step,time,lyapunov,diss_dbeta_sq,diss_capillary,"
-                      "diss_grad_dbeta,diss_eps_w,diss_proj_mu,min_species,"
-                      "max_total,fp_iters")
+# The columns of diagnostics.csv, each a DiagnosticsRecord field.
+_DIAGNOSTICS_COLUMNS = ("step", "time", "lyapunov", "diss_dbeta_sq",
+                        "diss_capillary", "diss_grad_dbeta", "diss_eps_w",
+                        "diss_proj_mu", "min_species", "max_total",
+                        "fp_iters")
+DIAGNOSTICS_HEADER = ",".join(_DIAGNOSTICS_COLUMNS)
 
 # Initial profiles and the [initial] keys each takes, with their types.
 _PROFILE_ARGS = {
@@ -328,19 +331,15 @@ def build_problem(config: RunConfig):
 # ---------------------------------------------------------------------------
 
 def _diagnostics_csv(trajectory):
+    """One row per recorded step: the integer fields of a record in decimal,
+    the float fields in shortest round-trip form."""
+    kinds = _field_types(diag.DiagnosticsRecord)
     buf = io.StringIO()
     buf.write(DIAGNOSTICS_HEADER + "\n")
     for rec in trajectory.diagnostics[1:]:
-        row = [str(rec.step), repr(float(rec.time)),
-               repr(float(rec.lyapunov)),
-               repr(float(rec.diss_dbeta_sq)),
-               repr(float(rec.diss_capillary)),
-               repr(float(rec.diss_grad_dbeta)),
-               repr(float(rec.diss_eps_w)),
-               repr(float(rec.diss_proj_mu)),
-               repr(float(rec.min_species)),
-               repr(float(rec.max_total)),
-               str(rec.fp_iters)]
+        row = [str(getattr(rec, name)) if kinds[name] is int
+               else repr(float(getattr(rec, name)))
+               for name in _DIAGNOSTICS_COLUMNS]
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
 
@@ -390,8 +389,7 @@ def write_outputs(trajectory, config: RunConfig, directory) -> dict:
         "config": render_config(config),
         "num_steps_recorded": len(records) - 1,
         "final_time": float(trajectory.times[-1]),
-        "apriori_report": _jsonable(
-            diag.apriori_report(trajectory, trajectory.params)),
+        "apriori_report": _jsonable(diag.apriori_report(trajectory)),
         "entropy_margins": _jsonable([r.entropy_margin for r in records[1:]]),
         "entropy_check_constants": _jsonable(
             records[-1].check_constants if records else {}),

@@ -98,8 +98,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.fp_tol > 0 and self.t_end > 0):
             raise ArgumentError("fp_tol and t_end must be positive")
-        if not self.record_every >= 1:
-            raise ArgumentError("record_every must be at least 1")
+        if not (float(self.record_every).is_integer()
+                and self.record_every >= 1):
+            raise ArgumentError(f"record_every must be an integer, at least "
+                                f"1; got {self.record_every!r}")
 
 
 @dataclass(frozen=True)
@@ -115,13 +117,15 @@ class StepStats:
 
 @dataclass(eq=False)
 class Trajectory:
-    """A run's records (every record_every-th step, the first and the last)
-    and its a-priori totals, accumulated over every step."""
+    """A run's records (every record_every-th step, the first and the last),
+    its a-priori totals, accumulated over every step, and the parameters,
+    diffusion spec and solver configuration it was made with."""
 
     times: list
     states: list
     diagnostics: list
     params: object
+    spec: object
     config: SolverConfig
     apriori_totals: diag.AprioriTotals
 
@@ -480,7 +484,6 @@ def run_simulation(initial: fem.NodalField, params, spec,
     prefixed to its message and added as attributes ``step`` and ``time``,
     next to any the error already carries.
     """
-    mesh = initial.mesh
     try:
         initial.check_admissible(params)
     except Exception as exc:
@@ -493,7 +496,8 @@ def run_simulation(initial: fem.NodalField, params, spec,
     totals = diag.AprioriTotals()
     totals.add(rec0, kappa)
     traj = Trajectory(times=[0.0], states=[initial], diagnostics=[rec0],
-                      params=params, config=solver_cfg, apriori_totals=totals)
+                      params=params, spec=spec, config=solver_cfg,
+                      apriori_totals=totals)
     l_prev = rec0.lyapunov
     s_prev = initial
     grad_beta = rec0.grad_beta
@@ -509,12 +513,11 @@ def run_simulation(initial: fem.NodalField, params, spec,
             error = type(exc)(f"step {k} (t = {k * kappa:g}): {exc}")
             error.__dict__.update(vars(exc), step=k, time=k * kappa)
             raise error from exc
-        budget = diag.dissipation_budget(s_new, s_prev, params, spec, mesh,
+        budget = diag.dissipation_budget(s_new, s_prev, params, spec,
                                          step=k, time=k * kappa,
                                          fp_iters=stats.iterations,
                                          grad_beta_prev=grad_beta)
-        check = diag.check_entropy_step(l_prev, budget.lyapunov, budget,
-                                        kappa, check_tol)
+        check = diag.check_entropy_step(l_prev, budget, kappa, check_tol)
         record = replace(budget, entropy_margin=check.margin)
         if not check.passed and solver_cfg.strict_entropy:
             raise EntropyViolationError(
@@ -546,11 +549,13 @@ def sine_perturbation_initial(mesh: fem.Mesh, params, amplitude=0.1,
     """Equilibrium plus amplitude * sin(pi x / L) on one species, clipped to
     stay strictly inside the admissible set; boundary rows stay exact."""
     sg = np.asarray(params.s_gamma, dtype=float)
-    if not 0 <= species_index < params.n_species:
-        raise ArgumentError("species_index out of range")
+    if not (float(species_index).is_integer()
+            and 0 <= species_index < params.n_species):
+        raise ArgumentError(f"species_index must be an integer in 0.."
+                            f"{params.n_species - 1}; got {species_index!r}")
     values = np.tile(sg, (mesh.num_nodes, 1))
     xi = (mesh.nodes - mesh.x_left) / (mesh.x_right - mesh.x_left)
-    values[:, species_index] += amplitude * np.sin(math.pi * xi)
+    values[:, int(species_index)] += amplitude * np.sin(math.pi * xi)
     floor = 1e-8
     values = np.clip(values, floor, None)
     totals = values.sum(axis=1)
@@ -609,13 +614,9 @@ def _ladder_runs(initial, params, spec, solver_cfg, values, kind):
     records in its report, so the caller's ``record_every`` changes
     nothing."""
     every_step = replace(solver_cfg, record_every=1)
-    runs = []
-    for v in values:
-        pv = replace(params, kappa=float(v)) if kind == "kappa" \
-            else replace(params, eps=float(v))
-        traj = run_simulation(initial, pv, spec, every_step)
-        runs.append((pv, traj))
-    return runs
+    return [run_simulation(initial, replace(params, **{kind: float(v)}),
+                           spec, every_step)
+            for v in values]
 
 
 def _stability_flags(reports, values, label):
@@ -656,8 +657,8 @@ def refinement_study(initial: fem.NodalField, params, spec,
     if kappa_list:
         runs = _ladder_runs(initial, params, spec, solver_cfg, kappa_list,
                             "kappa")
-        totals = [np.stack([st.totals for st in tr.states]) for _, tr in runs]
-        times = [tr.times for _, tr in runs]
+        totals = [np.stack([st.totals for st in tr.states]) for tr in runs]
+        times = [tr.times for tr in runs]
         diffs = []
         for j in range(len(runs) - 1):
             diffs.append(_total_density_l2_diff(
@@ -669,7 +670,7 @@ def refinement_study(initial: fem.NodalField, params, spec,
                 orders.append(math.log2(diffs[j] / diffs[j + 1]))
             else:
                 orders.append(math.nan)
-        apriori = [diag.apriori_report(tr, pv) for pv, tr in runs]
+        apriori = [diag.apriori_report(tr) for tr in runs]
         report["kappa"] = {
             "values": kappa_list,
             "pairwise_l2": diffs,
@@ -681,7 +682,7 @@ def refinement_study(initial: fem.NodalField, params, spec,
     if eps_list:
         runs = _ladder_runs(initial, params, spec, solver_cfg, eps_list,
                             "eps")
-        apriori = [diag.apriori_report(tr, pv) for pv, tr in runs]
+        apriori = [diag.apriori_report(tr) for tr in runs]
         report["eps"] = {
             "values": eps_list,
             "apriori": apriori,

@@ -253,8 +253,7 @@ def test_criterion_08_entropy_inequality_on_reference_run(record_acceptance,
     all_passed = True
     min_margin = np.inf
     for prev, new in zip(records, records[1:]):
-        res = diag.check_entropy_step(prev.lyapunov, new.lyapunov, new,
-                                      P0.kappa, tol)
+        res = diag.check_entropy_step(prev.lyapunov, new, P0.kappa, tol)
         all_passed &= res.passed
         min_margin = min(min_margin, res.margin)
     lyap = [rec.lyapunov for rec in records]
@@ -317,14 +316,14 @@ def test_criterion_10_time_step_refinement(record_acceptance):
 def test_criterion_11_weak_residual_refinement(record_acceptance,
                                                reference_run):
     start = time.perf_counter()
-    coarse = diag.weak_residual(reference_run["trajectory"], P0, SPEC, 3)
+    coarse = diag.weak_residual(reference_run["trajectory"], 3)
     params_fine = cst.default_params(kappa=5e-4)
     mesh = fem.build_mesh(128)
     initial = solver.sine_perturbation_initial(mesh, params_fine,
                                                amplitude=0.1, species_index=0)
     traj_fine = solver.run_simulation(initial, params_fine, SPEC,
                                       solver.SolverConfig(t_end=0.05))
-    fine = diag.weak_residual(traj_fine, params_fine, SPEC, 3)
+    fine = diag.weak_residual(traj_fine, 3)
     elapsed = time.perf_counter() - start
     ok = 0.0 < fine < coarse and elapsed < 180.0
     _verdict(record_acceptance, 11, ok,
@@ -345,7 +344,7 @@ def test_criterion_12_pressure_consistency_refinement(record_acceptance):
             0.15 - 0.04 * np.sin(np.pi * x) ** 2,
         ])
         state = fem.NodalField(vals, mesh)
-        residuals.append(diag.gibbs_duhem_check(state, P0, mesh))
+        residuals.append(diag.gibbs_duhem_check(state, P0))
     elapsed = time.perf_counter() - start
     decreasing = residuals[0] > residuals[1] > residuals[2] > 0.0
     ok = decreasing and elapsed < 30.0

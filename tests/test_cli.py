@@ -171,34 +171,6 @@ def test_run_reports_the_failing_step(tmp_path, capsys, monkeypatch):
     assert "error: step 1 (t = 0.001): fixed-point iteration failed" in err
 
 
-def test_strict_entropy_flag_overrides_config(tmp_path, monkeypatch):
-    path = tmp_path / "lenient.cfg"
-    path.write_text(f"""
-    [solver]
-    t_end = 2e-3
-    strict_entropy = false
-    [mesh]
-    num_cells = 8
-    [initial]
-    profile = sine_perturbation
-    amplitude = 0.05
-    [output]
-    directory = {tmp_path / "out2"}
-    """)
-    seen = {}
-    real = solver.run_simulation
-
-    def capture(initial, params, spec, solver_cfg):
-        seen["strict"] = solver_cfg.strict_entropy
-        return real(initial, params, spec, solver_cfg)
-
-    monkeypatch.setattr(solver, "run_simulation", capture)
-    assert cli.main(["run", str(path)]) == 0
-    assert seen["strict"] is False
-    assert cli.main(["run", str(path), "--strict-entropy"]) == 0
-    assert seen["strict"] is True
-
-
 def test_study_writes_report(tmp_path, capsys):
     out_dir = tmp_path / "study_out"
     path = tmp_path / "study.cfg"

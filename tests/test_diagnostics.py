@@ -37,9 +37,9 @@ def short_run():
 def test_lyapunov_zero_at_boundary_composition():
     mesh = fem.build_mesh(12)
     eq = solver.equilibrium_initial(mesh, P0)
-    assert diag.lyapunov_functional(eq, P0, mesh) == 0.0
+    assert diag.lyapunov_functional(eq, P0) == 0.0
     pert = solver.sine_perturbation_initial(mesh, P0, amplitude=0.05)
-    assert diag.lyapunov_functional(pert, P0, mesh) > 0.0
+    assert diag.lyapunov_functional(pert, P0) > 0.0
 
 
 def test_record_lyapunov_is_the_public_functional(short_run):
@@ -49,11 +49,10 @@ def test_record_lyapunov_is_the_public_functional(short_run):
     traj = short_run
     assert len(traj.states) == len(traj.diagnostics) > 2
     for state, rec in zip(traj.states, traj.diagnostics):
-        expected = diag.lyapunov_functional(state, P0, state.mesh,
-                                            rec.grad_beta)
+        expected = diag.lyapunov_functional(state, P0, rec.grad_beta)
         assert rec.lyapunov == expected
         assert rec.apriori["entropy_integral"] == diag.lyapunov_functional(
-            state, P0, state.mesh, np.zeros_like(rec.grad_beta))
+            state, P0, np.zeros_like(rec.grad_beta))
 
 
 def test_initial_record_contents():
@@ -100,12 +99,25 @@ def test_dissipation_budget_on_a_real_step(short_run):
         "mobility_inv_p_int", "grad_dkbeta_lq_int", "dt_hminus1_sq"}
 
 
+def test_dissipation_budget_refuses_a_state_on_another_mesh(short_run):
+    # The budget integrates on state_new's mesh; a previous state on a mesh
+    # with other nodes, of the same size or not, is refused.
+    new = short_run.states[1]
+    g_prev = short_run.diagnostics[0].grad_beta
+    nodes = new.mesh.nodes.copy()
+    nodes[1:-1] += 0.25 * (nodes[2:] - nodes[1:-1])
+    for mesh in (fem.Mesh(nodes), fem.build_mesh(12)):
+        moved = fem.NodalField(
+            np.tile(P0.s_gamma, (mesh.num_nodes, 1)), mesh)
+        with pytest.raises(ArgumentError, match="different meshes"):
+            diag.dissipation_budget(new, moved, P0, SPEC, g_prev)
+
+
 def test_entropy_check_recomputation(short_run):
     traj = short_run
     prev, new = traj.diagnostics[0], traj.diagnostics[1]
     tol = 10.0 * traj.config.fp_tol
-    res = diag.check_entropy_step(prev.lyapunov, new.lyapunov, new,
-                                  P0.kappa, tol)
+    res = diag.check_entropy_step(prev.lyapunov, new, P0.kappa, tol)
     assert res.passed
     cc = new.check_constants
     weighted = (cc["c_beta"] * new.diss_dbeta_sq
@@ -118,8 +130,7 @@ def test_entropy_check_recomputation(short_run):
     assert res.margin == pytest.approx(margin, abs=1e-18)
     assert res.margin == pytest.approx(new.entropy_margin, abs=1e-18)
     # An impossible claim of entropy growth must fail the check.
-    bad = diag.check_entropy_step(new.lyapunov - 1.0, new.lyapunov, new,
-                                  P0.kappa, tol)
+    bad = diag.check_entropy_step(new.lyapunov - 1.0, new, P0.kappa, tol)
     assert not bad.passed and bad.margin < 0.0
 
 
@@ -137,7 +148,7 @@ def test_record_rejects_negative_dissipation():
 
 
 def test_apriori_report_aggregates(short_run):
-    report = diag.apriori_report(short_run, P0)
+    report = diag.apriori_report(short_run)
     assert set(report) == APRIORI_KEYS
     for key, value in report.items():
         if key == "exponents":
@@ -160,7 +171,7 @@ def test_apriori_report_does_not_depend_on_the_recording_stride():
         cfg = solver.SolverConfig(t_end=0.01, record_every=stride)
         traj = solver.run_simulation(init, P0, SPEC, cfg)
         assert len(traj.diagnostics) == 10 // stride + 1
-        reports[stride] = diag.apriori_report(traj, P0)
+        reports[stride] = diag.apriori_report(traj)
     assert reports[2] == reports[1]
     assert reports[5] == reports[1]
     assert reports[1]["mobility_inv_p_int"] > 2.9
@@ -172,7 +183,7 @@ def test_weak_residual_refuses_thinned_records():
     cfg = solver.SolverConfig(t_end=5e-3, record_every=2)
     traj = solver.run_simulation(init, P0, SPEC, cfg)
     with pytest.raises(ArgumentError, match=r"from step 0 to 2 \(stride 2\)"):
-        diag.weak_residual(traj, P0, SPEC, 3)
+        diag.weak_residual(traj, 3)
 
 
 def test_hminus1_norm_is_the_dirichlet_poisson_energy():
@@ -202,13 +213,13 @@ def test_weak_residual_shrinks_under_refinement():
         init = solver.sine_perturbation_initial(mesh, P0, amplitude=0.1)
         cfg = solver.SolverConfig(t_end=5e-3)
         traj = solver.run_simulation(init, P0, SPEC, cfg)
-        results[num_cells] = diag.weak_residual(traj, P0, SPEC, 3)
+        results[num_cells] = diag.weak_residual(traj, 3)
     assert results[16] > 0.0
     assert results[32] < results[16]
 
 
 def test_weak_residual_detects_corruption(short_run):
-    base = diag.weak_residual(short_run, P0, SPEC, 3)
+    base = diag.weak_residual(short_run, 3)
     corrupted = dataclasses.replace(short_run)
     states = list(corrupted.states)
     mid = len(states) // 2
@@ -216,7 +227,7 @@ def test_weak_residual_detects_corruption(short_run):
     vals[1:-1] *= 0.8
     states[mid] = fem.NodalField(vals, states[mid].mesh)
     corrupted.states = states
-    assert diag.weak_residual(corrupted, P0, SPEC, 3) > 100.0 * base
+    assert diag.weak_residual(corrupted, 3) > 100.0 * base
 
 
 def test_weak_residual_argument_validation(short_run):
@@ -224,35 +235,36 @@ def test_weak_residual_argument_validation(short_run):
     stub.states = short_run.states[:1]
     stub.times = short_run.times[:1]
     with pytest.raises(ArgumentError):
-        diag.weak_residual(stub, P0, SPEC, 3)
-    with pytest.raises(ArgumentError):
-        diag.weak_residual(short_run, P0, SPEC, 0)
+        diag.weak_residual(stub, 3)
+    for count in (0, 2.5, float("nan")):
+        with pytest.raises(ArgumentError):
+            diag.weak_residual(short_run, count)
     # The gradient memory each step was assembled with lives in the records.
     bare = dataclasses.replace(short_run, diagnostics=[])
     with pytest.raises(ArgumentError, match="no diagnostics records"):
-        diag.weak_residual(bare, P0, SPEC, 3)
+        diag.weak_residual(bare, 3)
 
 
 def test_reports_refuse_records_without_their_data(short_run):
     bare = dataclasses.replace(short_run.diagnostics[1], check_constants={})
     with pytest.raises(ArgumentError, match="no check constants"):
-        diag.check_entropy_step(1.0, 0.5, bare, P0.kappa, 0.0)
+        diag.check_entropy_step(1.0, bare, P0.kappa, 0.0)
     with pytest.raises(ArgumentError, match="no diagnostics records"):
-        diag.apriori_report(dataclasses.replace(short_run, diagnostics=[]),
-                            P0)
+        diag.apriori_report(dataclasses.replace(short_run, diagnostics=[]))
 
 
 def test_apriori_report_refuses_inadmissible_exponents(short_run):
     # The bounds rest on the exponent clauses, p > 1 among them.
     with pytest.raises(PreconditionError, match="lam < 3 beta2 - 10"):
-        diag.apriori_report(short_run, cst.default_params(lam=8.5))
+        diag.apriori_report(dataclasses.replace(
+            short_run, params=cst.default_params(lam=8.5)))
 
 
 def test_gibbs_duhem_zero_at_constant_state():
     mesh = fem.build_mesh(24)
     vals = np.tile((0.2, 0.25, 0.3), (mesh.num_nodes, 1))
     state = fem.NodalField(vals, mesh)
-    assert diag.gibbs_duhem_check(state, P0, mesh) == 0.0
+    assert diag.gibbs_duhem_check(state, P0) == 0.0
 
 
 def _smooth_state(mesh):
@@ -269,7 +281,7 @@ def test_gibbs_duhem_converges_under_refinement():
     values = []
     for num_cells in (32, 64, 128):
         mesh = fem.build_mesh(num_cells)
-        values.append(diag.gibbs_duhem_check(_smooth_state(mesh), P0, mesh))
+        values.append(diag.gibbs_duhem_check(_smooth_state(mesh), P0))
     assert values[0] > values[1] > values[2] > 0.0
     # Chord-gradient consistency is first order or better.
     assert values[0] / values[1] > 1.5

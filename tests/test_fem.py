@@ -29,6 +29,8 @@ def test_build_mesh_basic():
 
 
 @pytest.mark.parametrize("bad", [(1, 0.0, 1.0), (2.5, 0.0, 1.0),
+                                 (float("nan"), 0.0, 1.0),
+                                 (float("inf"), 0.0, 1.0),
                                  (4, 1.0, 1.0), (4, 2.0, 1.0)])
 def test_build_mesh_validation(bad):
     with pytest.raises(ArgumentError):

@@ -100,6 +100,7 @@ def test_solve_linear_refuses_a_non_finite_load():
     ("t_end", 0.0, "must be positive"),
     ("record_every", 0, "at least 1"),
     ("record_every", float("nan"), "at least 1"),
+    ("record_every", 1.5, "integer"),
 ])
 def test_solver_config_validation(field, value, fragment):
     with pytest.raises(ArgumentError, match=fragment):
@@ -487,6 +488,8 @@ def test_sine_perturbation_profile():
     big.check_admissible(P0)
     with pytest.raises(ArgumentError):
         solver.sine_perturbation_initial(mesh, P0, species_index=3)
+    with pytest.raises(ArgumentError):
+        solver.sine_perturbation_initial(mesh, P0, species_index=1.5)
 
 
 def test_step_profile():
