@@ -66,9 +66,7 @@ from .solver import (
 )
 from .diagnostics import (
     DiagnosticsRecord,
-    EntropyCheckResult,
     apriori_report,
-    check_entropy_step,
     dissipation_budget,
     gibbs_duhem_check,
     initial_record,
@@ -126,11 +124,9 @@ __all__ = [
     "step_profile_initial",
     # diagnostics
     "DiagnosticsRecord",
-    "EntropyCheckResult",
     "lyapunov_functional",
     "dissipation_budget",
     "initial_record",
-    "check_entropy_step",
     "apriori_report",
     "weak_residual",
     "gibbs_duhem_check",

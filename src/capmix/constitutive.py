@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, PreconditionError
 
 __all__ = [
     "ModelParams",
@@ -462,6 +462,18 @@ def validate_assumptions(params: ModelParams) -> AssumptionReport:
     )
 
 
+def _admissible_exponents(params: ModelParams) -> AssumptionReport:
+    """The exponent report of an admissible parameter set.  Any other set is
+    refused with PreconditionError naming its violated clauses, so every
+    bound that relies on the clauses (p > 1 among them, hence a finite q in
+    (1, 2); gamma > gamma1) may assume them."""
+    rep = validate_assumptions(params)
+    if not rep.accepted:
+        raise PreconditionError("parameter admissibility violated: "
+                                + "; ".join(rep.violated_clauses))
+    return rep
+
+
 def _piecewise_quadratic_sup(dc, knots):
     """Exact supremum of the piecewise quadratic with coefficients dc on the
     table knots (a table derivative from ``_beta_table``).
@@ -484,24 +496,18 @@ def _piecewise_quadratic_sup(dc, knots):
 
 @lru_cache(maxsize=32)
 def _sup_beta_prime_cached(lam, gamma, gamma1):
-    p = ModelParams(n_species=1, lam=lam, gamma=gamma, gamma1=gamma1,
-                    beta1=6.0, beta2=6.0, s_gamma=(0.5,))
-    grid = np.concatenate([
-        np.linspace(0.0, 1.0, 100_001),
-        1.0 - np.geomspace(1e-14, 1e-5, 200),
-        np.geomspace(1e-14, 1e-5, 200),
-    ])
-    sup_tau = float(np.max(_tau(grid, p)))
     # The tabulated beta is what the scheme differences nodally, so the exact
     # supremum of the interpolant's (piecewise-quadratic) derivative is the
     # Lipschitz constant that enters the entropy-check weighting.
     _, dc, knots, _ = _beta_table(lam, gamma, gamma1)
-    sup_table = _piecewise_quadratic_sup(dc, knots)
-    return max(sup_tau, sup_table)
+    return max(1.0, _piecewise_quadratic_sup(dc, knots))
 
 
 def sup_beta_prime(params: ModelParams) -> float:
-    """Supremum of beta' over [0,1]: the larger of the fine-grid sup of tau
-    and the exact sup of the tabulated interpolant's derivative (equals 1 up
-    to table error when gamma > gamma1, approached as s -> 1)."""
+    """Supremum of beta' over [0,1] for an admissible parameter set: the
+    larger of sup tau = tau(1) = 1 (gamma > gamma1 makes tau < 1 on (0, 1))
+    and the exact sup of the tabulated interpolant's derivative, which
+    exceeds 1 by table error at most.  Refuses an inadmissible set with
+    PreconditionError."""
+    _admissible_exponents(params)
     return _sup_beta_prime_cached(params.lam, params.gamma, params.gamma1)

@@ -35,6 +35,13 @@ and the Poincare-based C_w are the constants the assembled bilinear form
 can actually guarantee; margins are reported signed so stricter variants
 can be evaluated offline.
 
+Each step's ``DiagnosticsRecord`` is built from the record before it by
+``dissipation_budget``: the previous record supplies G_prev, the step
+number, L(S_prev, G_prev) for the signed entropy margin above, and the
+running a-priori suprema and time sums the new record extends.  A run's
+last record therefore carries the a-priori totals of every step, which
+``apriori_report`` reads.
+
 All dissipation integrals reuse the assembly quadrature: nodal (lumped)
 sums for time differences, two-point Gauss with per-point state recovery
 for the flux terms (coefficients from ``fem._point_coefficients``, as in
@@ -51,15 +58,13 @@ import numpy as np
 from . import constitutive as cst
 from . import entropy as ent
 from . import fem
-from .errors import ArgumentError, PreconditionError
+from .errors import ArgumentError
 
 __all__ = [
     "DiagnosticsRecord",
-    "EntropyCheckResult",
     "lyapunov_functional",
     "dissipation_budget",
     "initial_record",
-    "check_entropy_step",
     "apriori_report",
     "weak_residual",
     "gibbs_duhem_check",
@@ -67,13 +72,27 @@ __all__ = [
 
 _NEG_TOL = 1e-12
 
+# The record's dissipation integrals of one step.
+_DISSIPATION = ("diss_dbeta_sq", "diss_capillary", "diss_grad_dbeta",
+                "diss_eps_w", "diss_proj_mu")
+# Record quantities whose suprema the a-priori report takes.
+_SUPREMA = ("entropy_integral", "grad_beta_l2", "total_pow_gamma1_int",
+            "one_minus_total_pow_lam_int")
+
 
 @dataclass(frozen=True, eq=False)
 class DiagnosticsRecord:
     """Per-step budget: Lyapunov value, dissipation integrals, state extremes,
     iteration count, instantaneous bound quantities, the entropy-check
-    weighting constants in force, and the advanced gradient memory G (per-cell
-    quadrature samples of the beta gradient; the next step's history input)."""
+    weighting constants in force, the advanced gradient memory G (per-cell
+    quadrature samples of the beta gradient; the next step's history input)
+    and the signed entropy margin against the record before.
+
+    apriori_sup and apriori_time_sum are the run's a-priori totals up to this
+    step: suprema of the ``_SUPREMA`` quantities over every step from the
+    initial state on, and time sums (kappa times each step's integrand, added
+    in step order) over steps 1..step.  Each record builds them from the one
+    before, so the steps a thinned trajectory leaves out still count."""
 
     step: int
     time: float
@@ -88,34 +107,17 @@ class DiagnosticsRecord:
     fp_iters: int
     grad_beta: np.ndarray | None = None
     apriori: dict = field(default_factory=dict)
+    apriori_sup: dict = field(default_factory=dict)
+    apriori_time_sum: dict = field(default_factory=dict)
     check_constants: dict = field(default_factory=dict)
     entropy_margin: float | None = None
 
     def __post_init__(self):
-        for name in ("diss_dbeta_sq", "diss_capillary", "diss_grad_dbeta",
-                     "diss_eps_w", "diss_proj_mu"):
+        for name in _DISSIPATION:
             if getattr(self, name) < -_NEG_TOL:
                 raise ArgumentError(f"{name} negative beyond tolerance")
         if self.lyapunov < -_NEG_TOL:
             raise ArgumentError("lyapunov negative beyond tolerance")
-
-
-@dataclass(frozen=True)
-class EntropyCheckResult:
-    passed: bool
-    margin: float
-    weighted_dissipation: float
-
-
-def _admissible_exponents(params):
-    """The exponent report of an admissible parameter set.  Any other set is
-    refused with PreconditionError naming its violated clauses, so every
-    bound below may rely on p > 1 (hence a finite q in (1, 2))."""
-    rep = cst.validate_assumptions(params)
-    if not rep.accepted:
-        raise PreconditionError("parameter admissibility violated: "
-                                + "; ".join(rep.violated_clauses))
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +141,15 @@ def lyapunov_functional(state: fem.NodalField, params,
     L2 norm of the beta-gradient memory, on the state's mesh.
 
     grad_beta holds the per-cell quadrature samples of d beta(S)/dx the run
-    carries (shape (num_cells, num_quadrature_points)).  Omitted, it is
-    rebuilt from the state itself, which is the correct memory for a state
-    that has not stepped yet.
+    carries (shape (num_cells, num_quadrature_points); any other shape is
+    refused with ArgumentError).  Omitted, it is rebuilt from the state
+    itself, which is the correct memory for a state that has not stepped
+    yet.
     """
     if grad_beta is None:
         grad_beta = fem.beta_gradient_field(state, params)
+    grad_beta = fem._require_gradient_memory(grad_beta, state.mesh,
+                                             "grad_beta")
     bulk, grad_sq = _lyapunov_parts(state, params, grad_beta)
     return bulk + 0.5 * grad_sq
 
@@ -239,74 +244,108 @@ def _instantaneous_apriori(state, params, grad_beta, rep):
         "alpha1_l6": float(np.sum(m * totals ** (6.0 * rep.alpha1)) ** (1.0 / 6.0)),
         "alpha2_l6": float(np.sum(m * (1.0 - totals) ** (6.0 * rep.alpha2)) ** (1.0 / 6.0)),
     }
-    a_vals = cst._mobility(np.clip(totals, 1e-300, 1.0 - 1e-16), params)
+    a_vals = cst._mobility(totals, params)
     out["mobility_inv_p_int"] = float(np.sum(m * a_vals ** (-rep.p)))
     return out, bulk + 0.5 * grad_beta_sq
 
 
+def _step_integrands(diss, apriori):
+    """{a-priori report key: one step's integrand} from the step's
+    dissipation integrals (by record field name) and bound quantities."""
+    return {
+        "dkbeta_L2L2": diss["diss_dbeta_sq"],
+        "capillary_L2L2": diss["diss_capillary"],
+        "grad_dkbeta_L2L2": diss["diss_grad_dbeta"],
+        "eps_w_L2H1": diss["diss_eps_w"],
+        "proj_mu_L2L2": diss["diss_proj_mu"],
+        "alpha1_L2L6": apriori["alpha1_l6"] ** 2,
+        "alpha2_L2L6": apriori["alpha2_l6"] ** 2,
+        "mobility_inv_p_int": apriori["mobility_inv_p_int"],
+        "dt_Hminus1_L2": apriori["dt_hminus1_sq"],
+        "grad_dkbeta_Lq": apriori["grad_dkbeta_lq_int"]}
+
+
 def initial_record(state: fem.NodalField, params, spec) -> DiagnosticsRecord:
     """Record for the initial state: no step has happened, so every step-scoped
-    dissipation is zero by convention.  Seeds the beta-gradient memory from
-    the state itself.  Refuses an inadmissible parameter set with
-    PreconditionError, as parsing a configuration refuses it."""
-    rep = _admissible_exponents(params)
+    dissipation is zero by convention and every time sum starts at zero.
+    Seeds the beta-gradient memory from the state itself.  Refuses an
+    inadmissible parameter set with PreconditionError, as parsing a
+    configuration refuses it."""
+    rep = cst._admissible_exponents(params)
     grad_beta = fem.beta_gradient_field(state, params)
     apriori, lyapunov = _instantaneous_apriori(state, params, grad_beta, rep)
     apriori.update({"grad_dkbeta_lq_int": 0.0, "dt_hminus1_sq": 0.0})
+    diss = dict.fromkeys(_DISSIPATION, 0.0)
     return DiagnosticsRecord(
         step=0, time=0.0,
         lyapunov=lyapunov,
-        diss_dbeta_sq=0.0, diss_capillary=0.0, diss_grad_dbeta=0.0,
-        diss_eps_w=0.0, diss_proj_mu=0.0,
+        **diss,
         min_species=float(state.values.min()),
         max_total=float(state.totals.max()),
         fp_iters=0,
         grad_beta=grad_beta,
         apriori=apriori,
+        apriori_sup={key: apriori[key] for key in _SUPREMA},
+        apriori_time_sum=dict.fromkeys(_step_integrands(diss, apriori), 0.0),
         check_constants=_entropy_check_constants(params, spec, state.mesh))
 
 
 def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
-                       params, spec, grad_beta_prev, step=0, time=0.0,
-                       fp_iters=0) -> DiagnosticsRecord:
-    """Evaluate every dissipation integral of one completed step with the
-    assembly quadratures (lumped time terms, two-point Gauss flux terms), on
-    the mesh of state_new; a state_prev on another mesh is refused with
-    ArgumentError.
+                       previous: DiagnosticsRecord, params, spec, fp_iters,
+                       tol) -> DiagnosticsRecord:
+    """The record of the step from state_prev to state_new, built from the
+    record of state_prev (``previous``).
 
-    grad_beta_prev is the beta-gradient memory the step was assembled with
-    (the previous record's grad_beta).  The returned record's grad_beta is
-    the advanced memory, both the gradient share of its Lyapunov value and
-    the history input of the next step.
+    Evaluates every dissipation integral of the step with the assembly
+    quadratures (lumped time terms, two-point Gauss flux terms), on the mesh
+    of state_new; a state_prev on another mesh is refused with ArgumentError.
+    From ``previous`` it takes the beta-gradient memory the step was
+    assembled with (refused with ArgumentError unless (num_cells, num_q)),
+    the step number (this record's step is the next one, at time
+    step * kappa), the Lyapunov value the entropy margin is measured
+    against, and the running a-priori totals it extends.
+
+    The returned record's grad_beta is the advanced memory, both the
+    gradient share of its Lyapunov value and the history input of the next
+    step.  Its entropy_margin is the signed margin of the per-step entropy
+    inequality,
+
+        (previous.lyapunov + tol) - (lyapunov + kappa * weighted),
+
+    with weighted the dissipation integrals weighted by the record's
+    check_constants and 2/3, 1/4 for the capillary and memory terms; the
+    step passes iff the margin is >= 0.
     """
-    rep = _admissible_exponents(params)
+    rep = cst._admissible_exponents(params)
     kappa = params.kappa
     mesh = state_new.mesh
     m = mesh.lumped_masses
     h = mesh.widths
+    grad_beta_prev = fem._require_gradient_memory(
+        previous.grad_beta, mesh, "previous.grad_beta")
     data = _step_qpoint_data(state_new, state_prev, params, spec,
                              grad_beta_prev)
 
     beta_new = cst._beta_hat(state_new.totals, params)
     beta_prev = cst._beta_hat(state_prev.totals, params)
     dkb = (beta_new - beta_prev) / kappa
-    diss_dbeta_sq = float(np.sum(m * dkb**2))
 
     coef = data["coef"]
     tau_q, pcp_q, a_q = coef["tau"], coef["pc_prime"], coef["a"]
     x_t, d_t = data["x_tilde"], data["d_tilde"]
-    diss_capillary = float(np.sum(
-        h * np.einsum("q,cq->c", fem._Q_W, pcp_q * tau_q * x_t**2)))
-    diss_grad_dbeta = float(np.sum(
-        h * np.einsum("q,cq->c", fem._Q_W, a_q * d_t**2)))
-
-    w = data["w"]
-    diss_eps_w = params.eps * float(
-        np.sum(m[:, None] * w**2) + np.sum(h[:, None] * data["grad_w"]**2))
-
+    w, grad_w = data["w"], data["grad_w"]
     pi_w = ent.project_orthogonal(w)
     grad_pi = (pi_w[1:] - pi_w[:-1]) / h[:, None]
-    diss_proj_mu = float(np.sum(h[:, None] * grad_pi**2))
+    diss = {
+        "diss_dbeta_sq": float(np.sum(m * dkb**2)),
+        "diss_capillary": float(np.sum(
+            h * np.einsum("q,cq->c", fem._Q_W, pcp_q * tau_q * x_t**2))),
+        "diss_grad_dbeta": float(np.sum(
+            h * np.einsum("q,cq->c", fem._Q_W, a_q * d_t**2))),
+        "diss_eps_w": params.eps * float(
+            np.sum(m[:, None] * w**2) + np.sum(h[:, None] * grad_w**2)),
+        "diss_proj_mu": float(np.sum(h[:, None] * grad_pi**2)),
+    }
 
     apriori, lyapunov = _instantaneous_apriori(state_new, params,
                                                data["g_new"], rep)
@@ -316,92 +355,45 @@ def dissipation_budget(state_new: fem.NodalField, state_prev: fem.NodalField,
     diff = (state_new.values - state_prev.values) / kappa
     apriori["dt_hminus1_sq"] = float(_hminus1_sq(mesh, diff).sum())
 
+    cc = _entropy_check_constants(params, spec, mesh)
+    weighted = (cc["c_beta"] * diss["diss_dbeta_sq"]
+                + (2.0 / 3.0) * diss["diss_capillary"]
+                + 0.25 * diss["diss_grad_dbeta"]
+                + cc["c_w"] * diss["diss_eps_w"]
+                + cc["c_mu"] * diss["diss_proj_mu"])
+    margin = (previous.lyapunov + tol) - (lyapunov + kappa * weighted)
+    step = previous.step + 1
     return DiagnosticsRecord(
-        step=step, time=time,
+        step=step, time=step * kappa,
         lyapunov=lyapunov,
-        diss_dbeta_sq=diss_dbeta_sq,
-        diss_capillary=diss_capillary,
-        diss_grad_dbeta=diss_grad_dbeta,
-        diss_eps_w=diss_eps_w,
-        diss_proj_mu=diss_proj_mu,
+        **diss,
         min_species=float(state_new.values.min()),
         max_total=float(state_new.totals.max()),
         fp_iters=int(fp_iters),
         grad_beta=data["g_new"],
         apriori=apriori,
-        check_constants=_entropy_check_constants(params, spec, mesh))
-
-
-def check_entropy_step(l_prev, budget: DiagnosticsRecord, kappa,
-                       tol) -> EntropyCheckResult:
-    """Pass/fail of the per-step entropy inequality with signed margin.
-
-    Passes iff budget.lyapunov + kappa * (weighted dissipation sum)
-    <= l_prev + tol, with the weights taken from the budget's
-    check_constants.
-    """
-    cc = budget.check_constants
-    if not cc:
-        raise ArgumentError("budget record carries no check constants")
-    weighted = (cc["c_beta"] * budget.diss_dbeta_sq
-                + (2.0 / 3.0) * budget.diss_capillary
-                + 0.25 * budget.diss_grad_dbeta
-                + cc["c_w"] * budget.diss_eps_w
-                + cc["c_mu"] * budget.diss_proj_mu)
-    margin = (l_prev + tol) - (budget.lyapunov + kappa * weighted)
-    return EntropyCheckResult(passed=bool(margin >= 0.0),
-                              margin=float(margin),
-                              weighted_dissipation=float(weighted))
+        apriori_sup={key: max(previous.apriori_sup[key], apriori[key])
+                     for key in _SUPREMA},
+        apriori_time_sum={
+            key: previous.apriori_time_sum[key] + kappa * value
+            for key, value in _step_integrands(diss, apriori).items()},
+        check_constants=cc,
+        entropy_margin=margin)
 
 
 # ---------------------------------------------------------------------------
 # Trajectory-level reports
 # ---------------------------------------------------------------------------
 
-# Record quantities whose suprema the report takes.
-_SUPREMA = ("entropy_integral", "grad_beta_l2", "total_pow_gamma1_int",
-            "one_minus_total_pow_lam_int")
-
-
-@dataclass(eq=False)
-class AprioriTotals:
-    """Running suprema over every record and time sums (kappa times each
-    step's integrand, added in step order) over every step of a run, the
-    steps a thinned trajectory (record_every > 1) leaves out included."""
-
-    sup: dict = field(default_factory=dict)
-    time_sum: dict = field(default_factory=dict)
-
-    def add(self, record: DiagnosticsRecord, kappa):
-        a = record.apriori
-        for key in _SUPREMA:
-            self.sup[key] = max(self.sup.get(key, a[key]), a[key])
-        if record.step == 0:
-            return
-        integrands = {  # {report key: this step's value}
-            "dkbeta_L2L2": record.diss_dbeta_sq,
-            "capillary_L2L2": record.diss_capillary,
-            "grad_dkbeta_L2L2": record.diss_grad_dbeta,
-            "eps_w_L2H1": record.diss_eps_w,
-            "proj_mu_L2L2": record.diss_proj_mu,
-            "alpha1_L2L6": a["alpha1_l6"] ** 2,
-            "alpha2_L2L6": a["alpha2_l6"] ** 2,
-            "mobility_inv_p_int": a["mobility_inv_p_int"],
-            "dt_Hminus1_L2": a["dt_hminus1_sq"],
-            "grad_dkbeta_Lq": a["grad_dkbeta_lq_int"]}
-        for key, value in integrands.items():
-            self.time_sum[key] = self.time_sum.get(key, 0.0) + kappa * value
-
-
 def apriori_report(trajectory) -> dict:
     """Aggregate the bound quantities over every step of a run, from the
-    trajectory's running totals (``AprioriTotals``) and the exponents of
-    its parameter set."""
+    running totals of its last record (every run records its last step) and
+    the exponents of its parameter set."""
     if not trajectory.diagnostics:
         raise ArgumentError("trajectory has no diagnostics records")
-    rep = _admissible_exponents(trajectory.params)
-    totals = trajectory.apriori_totals
-    sup, integral = totals.sup, totals.time_sum
+    rep = cst._admissible_exponents(trajectory.params)
+    last = trajectory.diagnostics[-1]
+    sup, integral = last.apriori_sup, last.apriori_time_sum
     return {
         "sup_entropy_integral": sup["entropy_integral"],
         "sup_grad_beta": sup["grad_beta_l2"],

@@ -188,6 +188,17 @@ def _require_same_mesh(a: NodalField, b: NodalField, names):
         raise ArgumentError(f"{names} live on different meshes")
 
 
+def _require_gradient_memory(grad_beta, mesh: Mesh, name):
+    """A beta-gradient memory as a float array; refuses, with ArgumentError
+    naming ``name``, one that is not (num_cells, num_q) on ``mesh``."""
+    grad_beta = np.asarray(grad_beta, dtype=float)
+    expected = (mesh.num_cells, _Q_XI.size)
+    if grad_beta.shape != expected:
+        raise ArgumentError(f"{name} must be (num_cells, num_q) = "
+                            f"{expected}; got shape {grad_beta.shape}")
+    return grad_beta
+
+
 def _lumped_l2(vv, mesh: Mesh) -> float:
     """Mass-lumped L2 norm of (num_nodes, k) data (the fixed-point defect
     norm)."""
@@ -332,15 +343,14 @@ def assemble_system(w_star: NodalField, s_prev: NodalField, params, spec,
     if not 0.0 <= sigma <= 1.0:
         raise ArgumentError("sigma must lie in [0, 1]")
     n = params.n_species
-    nn, nc = mesh.num_nodes, mesh.num_cells
+    nn = mesh.num_nodes
     h = mesh.widths
     m_lump = mesh.lumped_masses
 
     if grad_beta_prev is None:
         grad_beta_prev = beta_gradient_field(s_prev, params)
-    grad_beta_prev = np.asarray(grad_beta_prev, dtype=float)
-    if grad_beta_prev.shape != (nc, _Q_XI.size):
-        raise ArgumentError("grad_beta_prev must be (num_cells, num_q)")
+    grad_beta_prev = _require_gradient_memory(grad_beta_prev, mesh,
+                                              "grad_beta_prev")
 
     try:
         alpha_q, y_q, hist_q, s_star_nodes, m_nodes = _coefficient_blocks(

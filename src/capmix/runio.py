@@ -391,8 +391,7 @@ def write_outputs(trajectory, config: RunConfig, directory) -> dict:
         "final_time": float(trajectory.times[-1]),
         "apriori_report": _jsonable(diag.apriori_report(trajectory)),
         "entropy_margins": _jsonable([r.entropy_margin for r in records[1:]]),
-        "entropy_check_constants": _jsonable(
-            records[-1].check_constants if records else {}),
+        "entropy_check_constants": _jsonable(records[-1].check_constants),
         "lyapunov": _jsonable([r.lyapunov for r in records]),
         "versions": {
             "package": __version__,

@@ -20,11 +20,13 @@ from equilibrium stays exactly at rest.  If the accelerated iteration at full
 load stalls, a homotopy ladder re-runs it from w = 0 with the load switched
 on gradually, warm-starting each rung.
 
-A run records, per accepted step, the dissipation budget and the signed
-margin of the per-step entropy inequality; strict mode aborts on the first
-violation.  Refinement studies rerun the same problem over decreasing time
-steps (and regularisation strengths) and report self-convergence orders
-plus the stability of the a-priori bound quantities.
+A run chains one diagnostics record per accepted step, each built from the
+one before: the dissipation budget, the signed margin of the per-step
+entropy inequality and the running a-priori totals; strict mode aborts on
+the first negative margin.  Refinement studies rerun the same problem over
+decreasing time steps (and regularisation strengths) and report
+self-convergence orders plus the stability of the a-priori bound
+quantities.
 """
 
 from __future__ import annotations
@@ -117,17 +119,21 @@ class StepStats:
 
 @dataclass(eq=False)
 class Trajectory:
-    """A run's records (every record_every-th step, the first and the last),
-    its a-priori totals, accumulated over every step, and the parameters,
-    diffusion spec and solver configuration it was made with."""
+    """A run's states and their diagnostics records (every record_every-th
+    step, the first and the last), and the parameters, diffusion spec and
+    solver configuration it was made with.  The last record carries the
+    a-priori totals of every step of the run."""
 
-    times: list
     states: list
     diagnostics: list
     params: object
     spec: object
     config: SolverConfig
-    apriori_totals: diag.AprioriTotals
+
+    @property
+    def times(self) -> list:
+        """The time of each recorded state, read from its record."""
+        return [rec.time for rec in self.diagnostics]
 
 
 @lru_cache(maxsize=16)
@@ -476,9 +482,11 @@ def run_simulation(initial: fem.NodalField, params, spec,
     Preconditions on the initial data (interior states strictly inside the
     admissible set, boundary rows equal to the boundary composition) and on
     the exponents (every clause of ``validate_assumptions``) are enforced
-    with PreconditionError before any stepping.  Each accepted step is
-    budgeted and the entropy inequality checked with tolerance 10 * fp_tol;
-    strict mode turns a violation into an abort.  Each step's solve starts
+    with PreconditionError before any stepping.  Each accepted step's
+    record is built from the record before by ``dissipation_budget``, with
+    its entropy margin at tolerance 10 * fp_tol and the running a-priori
+    totals; strict mode turns a negative margin into an abort.  The trajectory keeps the state and record of every
+    record_every-th step and of the last one.  Each step's solve starts
     from the entropy variable the step before converged to.  A solver error
     of a step is re-raised as the same type with the step and its time
     prefixed to its message and added as attributes ``step`` and ``time``,
@@ -492,45 +500,32 @@ def run_simulation(initial: fem.NodalField, params, spec,
     kappa = params.kappa
     num_steps = step_count(solver_cfg.t_end, kappa)
 
-    rec0 = diag.initial_record(initial, params, spec)
-    totals = diag.AprioriTotals()
-    totals.add(rec0, kappa)
-    traj = Trajectory(times=[0.0], states=[initial], diagnostics=[rec0],
-                      params=params, spec=spec, config=solver_cfg,
-                      apriori_totals=totals)
-    l_prev = rec0.lyapunov
+    record = diag.initial_record(initial, params, spec)
+    traj = Trajectory(states=[initial], diagnostics=[record], params=params,
+                      spec=spec, config=solver_cfg)
     s_prev = initial
-    grad_beta = rec0.grad_beta
     check_tol = 10.0 * solver_cfg.fp_tol
     w_prev = None
 
     for k in range(1, num_steps + 1):
         try:
             s_new, stats = solve_time_step(s_prev, params, spec, solver_cfg,
-                                           grad_beta_prev=grad_beta,
+                                           grad_beta_prev=record.grad_beta,
                                            w_start=w_prev)
         except (FixedPointError, LinearSolveError, AssemblyError) as exc:
             error = type(exc)(f"step {k} (t = {k * kappa:g}): {exc}")
             error.__dict__.update(vars(exc), step=k, time=k * kappa)
             raise error from exc
-        budget = diag.dissipation_budget(s_new, s_prev, params, spec,
-                                         step=k, time=k * kappa,
-                                         fp_iters=stats.iterations,
-                                         grad_beta_prev=grad_beta)
-        check = diag.check_entropy_step(l_prev, budget, kappa, check_tol)
-        record = replace(budget, entropy_margin=check.margin)
-        if not check.passed and solver_cfg.strict_entropy:
+        record = diag.dissipation_budget(s_new, s_prev, record, params, spec,
+                                         stats.iterations, check_tol)
+        if not record.entropy_margin >= 0.0 and solver_cfg.strict_entropy:
             raise EntropyViolationError(
                 f"entropy inequality violated at step {k}: "
-                f"margin {check.margin:.6e}")
-        totals.add(record, kappa)
+                f"margin {record.entropy_margin:.6e}")
         if k % solver_cfg.record_every == 0 or k == num_steps:
-            traj.times.append(k * kappa)
             traj.states.append(s_new)
             traj.diagnostics.append(record)
-        l_prev = budget.lyapunov
         s_prev = s_new
-        grad_beta = record.grad_beta
         w_prev = stats.w
     return traj
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from capmix import constitutive as cst
-from capmix.errors import ArgumentError, DomainError
+from capmix.errors import ArgumentError, DomainError, PreconditionError
 
 P0 = cst.default_params()
 SECONDARY = cst.ModelParams(lam=7.5, gamma=6.3, gamma1=6.2, beta1=5.8,
@@ -335,6 +335,15 @@ def test_sup_beta_prime_is_bitwise_the_scipy_table_sup(params):
     # c_beta = 1/sup_beta_prime weights every entropy check, so not even its
     # last bit may move.
     assert cst.sup_beta_prime(params) == _sup_beta_prime_from_scipy(params)
+
+
+def test_sup_beta_prime_refuses_inadmissible_exponents():
+    # sup tau = 1 rests on gamma > gamma1, one of the admissibility clauses.
+    for params, clause in ((cst.ModelParams(gamma=5.9), "gamma1 < gamma"),
+                           (cst.default_params(lam=8.5),
+                            "lam < 3 beta2 - 10")):
+        with pytest.raises(PreconditionError, match=clause):
+            cst.sup_beta_prime(params)
 
 
 def test_solve_path_imports_no_unused_scipy_subpackage(tmp_path):

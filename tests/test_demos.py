@@ -1,8 +1,10 @@
-"""The quick demos run to completion against the library they document.
+"""The demos run to completion against the library they document.
 
 Each runs in its own interpreter, as a reader would start it, from an empty
-working directory so that nothing it writes lands in the checkout.  The
-longer demos 03 and 04 repeat runs the acceptance gate already makes.
+working directory so that nothing it writes lands in the checkout.  Demos 03
+and 04 call the verification API directly (``apriori_report``,
+``weak_residual``, ``refinement_study`` with an eps ladder); together they
+take a few seconds.
 """
 
 import os
@@ -19,6 +21,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 @pytest.mark.parametrize("demo", ["01_coefficient_laws.py",
                                   "02_entropy_transform.py",
+                                  "03_reference_run.py",
+                                  "04_refinement_study.py",
                                   "05_config_files.py"])
 def test_demo_runs(demo, tmp_path):
     # The child imports the same capmix these tests import.

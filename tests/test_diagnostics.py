@@ -1,6 +1,7 @@
 """Runtime verification surfaces: the Lyapunov functional, per-step
-dissipation budgets, the entropy inequality check, a-priori bound
-aggregation, the weak-form residual, and the pressure-consistency defect."""
+dissipation budgets with their entropy margins and running a-priori totals,
+a-priori bound aggregation, the weak-form residual, and the
+pressure-consistency defect."""
 
 import dataclasses
 import math
@@ -103,35 +104,65 @@ def test_dissipation_budget_refuses_a_state_on_another_mesh(short_run):
     # The budget integrates on state_new's mesh; a previous state on a mesh
     # with other nodes, of the same size or not, is refused.
     new = short_run.states[1]
-    g_prev = short_run.diagnostics[0].grad_beta
+    previous = short_run.diagnostics[0]
     nodes = new.mesh.nodes.copy()
     nodes[1:-1] += 0.25 * (nodes[2:] - nodes[1:-1])
     for mesh in (fem.Mesh(nodes), fem.build_mesh(12)):
         moved = fem.NodalField(
             np.tile(P0.s_gamma, (mesh.num_nodes, 1)), mesh)
         with pytest.raises(ArgumentError, match="different meshes"):
-            diag.dissipation_budget(new, moved, P0, SPEC, g_prev)
+            diag.dissipation_budget(new, moved, previous, P0, SPEC, 0, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(16, 3), (17, 2), (16,)])
+def test_gradient_memory_of_another_shape_is_refused(short_run, shape):
+    # The memory holds (num_cells, num_q) quadrature samples; any other
+    # shape is refused before it reaches a broadcast.
+    prev_state, new_state = short_run.states[0], short_run.states[1]
+    memory = np.zeros(shape)
+    with pytest.raises(ArgumentError, match=r"grad_beta must be \(num_cells"):
+        diag.lyapunov_functional(prev_state, P0, grad_beta=memory)
+    previous = dataclasses.replace(short_run.diagnostics[0],
+                                   grad_beta=memory)
+    with pytest.raises(ArgumentError, match=r"previous.grad_beta must be"):
+        diag.dissipation_budget(new_state, prev_state, previous, P0, SPEC,
+                                0, 0.0)
+
+
+def test_record_is_built_from_the_record_before(short_run):
+    # Rebuilding step 1 from the initial record reproduces the run's record:
+    # its step and time, its memory and totals, and its entropy margin.
+    traj = short_run
+    prev, new = traj.diagnostics[0], traj.diagnostics[1]
+    tol = 10.0 * traj.config.fp_tol
+    again = diag.dissipation_budget(traj.states[1], traj.states[0], prev, P0,
+                                    SPEC, new.fp_iters, tol)
+    assert (again.step, again.time) == (1, P0.kappa)
+    assert np.array_equal(again.grad_beta, new.grad_beta)
+    assert again.apriori_sup == new.apriori_sup
+    assert again.apriori_time_sum == new.apriori_time_sum
+    assert again.entropy_margin == new.entropy_margin
+    # The margin is measured against the previous record's Lyapunov value:
+    # growth from a previous value of zero fails.
+    lower = dataclasses.replace(prev, lyapunov=0.0)
+    bad = diag.dissipation_budget(traj.states[1], traj.states[0], lower, P0,
+                                  SPEC, new.fp_iters, tol)
+    assert bad.entropy_margin < 0.0
 
 
 def test_entropy_check_recomputation(short_run):
     traj = short_run
-    prev, new = traj.diagnostics[0], traj.diagnostics[1]
     tol = 10.0 * traj.config.fp_tol
-    res = diag.check_entropy_step(prev.lyapunov, new, P0.kappa, tol)
-    assert res.passed
-    cc = new.check_constants
-    weighted = (cc["c_beta"] * new.diss_dbeta_sq
-                + (2.0 / 3.0) * new.diss_capillary
-                + 0.25 * new.diss_grad_dbeta
-                + cc["c_w"] * new.diss_eps_w
-                + cc["c_mu"] * new.diss_proj_mu)
-    assert res.weighted_dissipation == pytest.approx(weighted, rel=1e-15)
-    margin = (prev.lyapunov + tol) - (new.lyapunov + P0.kappa * weighted)
-    assert res.margin == pytest.approx(margin, abs=1e-18)
-    assert res.margin == pytest.approx(new.entropy_margin, abs=1e-18)
-    # An impossible claim of entropy growth must fail the check.
-    bad = diag.check_entropy_step(new.lyapunov - 1.0, new, P0.kappa, tol)
-    assert not bad.passed and bad.margin < 0.0
+    for prev, new in zip(traj.diagnostics, traj.diagnostics[1:]):
+        cc = new.check_constants
+        weighted = (cc["c_beta"] * new.diss_dbeta_sq
+                    + (2.0 / 3.0) * new.diss_capillary
+                    + 0.25 * new.diss_grad_dbeta
+                    + cc["c_w"] * new.diss_eps_w
+                    + cc["c_mu"] * new.diss_proj_mu)
+        margin = (prev.lyapunov + tol) - (new.lyapunov + P0.kappa * weighted)
+        assert new.entropy_margin == margin
+        assert margin >= 0.0
 
 
 def test_record_rejects_negative_dissipation():
@@ -233,7 +264,7 @@ def test_weak_residual_detects_corruption(short_run):
 def test_weak_residual_argument_validation(short_run):
     stub = dataclasses.replace(short_run)
     stub.states = short_run.states[:1]
-    stub.times = short_run.times[:1]
+    stub.diagnostics = short_run.diagnostics[:1]
     with pytest.raises(ArgumentError):
         diag.weak_residual(stub, 3)
     for count in (0, 2.5, float("nan")):
@@ -246,9 +277,6 @@ def test_weak_residual_argument_validation(short_run):
 
 
 def test_reports_refuse_records_without_their_data(short_run):
-    bare = dataclasses.replace(short_run.diagnostics[1], check_constants={})
-    with pytest.raises(ArgumentError, match="no check constants"):
-        diag.check_entropy_step(1.0, bare, P0.kappa, 0.0)
     with pytest.raises(ArgumentError, match="no diagnostics records"):
         diag.apriori_report(dataclasses.replace(short_run, diagnostics=[]))
 
